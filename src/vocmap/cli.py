@@ -21,9 +21,13 @@ from vocmap import mapper, vocab, wordnet
 _DATA_ERRORS = (vocab.ParseError, wordnet.LoadError, OSError, ValueError)
 
 
-def _fail(message: str) -> int:
+class _UsageError(Exception):
+    """A flag value the command cannot run with (exit code 2)."""
+
+
+def _fail(message: str, code: int = 1) -> int:
     print(f"error: {message}", file=sys.stderr)
-    return 1
+    return code
 
 
 def _load_store(path: str) -> wordnet.WordNetStore:
@@ -81,7 +85,12 @@ def _merge_config(args: argparse.Namespace,
             if caster is bool:
                 value: object = raw.lower() in ("1", "true", "yes", "on")
             elif caster in (int, float):
-                value = caster(raw)
+                try:
+                    value = caster(raw)
+                except ValueError:
+                    raise ValueError(
+                        f"config value {key} = {raw!r} is not a valid "
+                        f"{caster.__name__}") from None
             else:
                 value = raw
             setattr(args, key, value)
@@ -90,8 +99,23 @@ def _merge_config(args: argparse.Namespace,
     return args
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(",") if part.strip())
+def _int_list(text: str, flag: str) -> tuple[int, ...]:
+    try:
+        values = tuple(int(part) for part in text.split(",") if part.strip())
+    except ValueError:
+        raise _UsageError(f"{flag} takes comma-separated integers, "
+                          f"got {text!r}") from None
+    if not values:
+        raise _UsageError(f"{flag} needs at least one value")
+    return values
+
+
+def _taxonomy_options(text: str) -> tuple[bool, ...]:
+    parts = [part.strip() for part in text.split(",") if part.strip()]
+    if not parts or any(part not in ("on", "off") for part in parts):
+        raise _UsageError(f"--taxonomy takes 'on', 'off' or 'off,on', "
+                          f"got {text!r}")
+    return tuple(part == "on" for part in parts)
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +126,8 @@ _MAP_DEFAULTS = {"min_overlap": 0, "min_freq": 0, "out": "out",
 
 
 def cmd_map(args: argparse.Namespace) -> int:
-    args = _merge_config(args, _MAP_DEFAULTS)
     try:
+        args = _merge_config(args, _MAP_DEFAULTS)
         store = _load_store(args.wordnet)
         vocabulary = _load_vocabulary(args.vocab)
         taxonomy = None
@@ -141,27 +165,27 @@ _SWEEP_DEFAULTS = {"workers": 10, "out": "out", "taxonomy_roots": None,
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    args = _merge_config(args, _SWEEP_DEFAULTS)
     try:
+        args = _merge_config(args, _SWEEP_DEFAULTS)
+        grid_kwargs = {}
+        if args.ol_min is not None:
+            grid_kwargs["ol_min_values"] = _int_list(str(args.ol_min),
+                                                     "--ol-min")
+        if args.f_min is not None:
+            grid_kwargs["f_min_values"] = _int_list(str(args.f_min), "--f-min")
+        if args.taxonomy is not None:
+            grid_kwargs["taxonomy_options"] = _taxonomy_options(
+                str(args.taxonomy))
+        grid = ev.SweepGrid(**grid_kwargs)
+        taxonomy_on = any(grid.taxonomy_options)
+        if taxonomy_on and not args.taxonomy_roots:
+            raise _UsageError("the grid includes taxonomy=on; "
+                              "--taxonomy-roots is required")
         store = _load_store(args.wordnet)
         vocabulary = _load_vocabulary(args.vocab)
         gold = vocab.load_gold(Path(args.gold).read_bytes())
-        grid_kwargs = {}
-        if args.ol_min is not None:
-            grid_kwargs["ol_min_values"] = _int_list(str(args.ol_min))
-        if args.f_min is not None:
-            grid_kwargs["f_min_values"] = _int_list(str(args.f_min))
-        if args.taxonomy is not None:
-            options = tuple(part.strip() == "on"
-                            for part in str(args.taxonomy).split(","))
-            grid_kwargs["taxonomy_options"] = options
-        grid = ev.SweepGrid(**grid_kwargs)
         taxonomy = None
-        if any(on for on, _, _ in grid.points()):
-            if not args.taxonomy_roots:
-                print("error: the grid includes taxonomy=on; --taxonomy-roots "
-                      "is required", file=sys.stderr)
-                return 2
+        if taxonomy_on:
             taxonomy = store.taxonomy_closure(_read_roots(args.taxonomy_roots,
                                                           store))
         rows = ev.run_sweep(vocabulary, store, gold, grid=grid,
@@ -170,6 +194,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         _write(out, "sweep.tsv", ev.sweep_tsv(rows,
                                               include_timings=args.timings))
         _write(out, "summary.tsv", ev.summary_tsv(rows))
+    except _UsageError as exc:
+        return _fail(str(exc), code=2)
     except _DATA_ERRORS as exc:
         return _fail(str(exc))
     return 0
@@ -209,8 +235,8 @@ _BASELINE_DEFAULTS = {"seed": 0, "threshold": 0.9, "out": "out"}
 
 
 def cmd_baseline(args: argparse.Namespace) -> int:
-    args = _merge_config(args, _BASELINE_DEFAULTS)
     try:
+        args = _merge_config(args, _BASELINE_DEFAULTS)
         store = _load_store(args.wordnet)
         vocabulary = _load_vocabulary(args.vocab)
         if args.kind == "random":

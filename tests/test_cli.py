@@ -240,3 +240,74 @@ class TestCmdBaseline:
                                     str(baseline_out / "mapping.nt"),
                                     "--gold", paths["gold"]])
         assert baseline_f < tuned_f
+
+
+def _command_args(command, paths, out):
+    args = {
+        "map": ["map", "--vocab", paths["vocab"],
+                "--wordnet", paths["wordnet"]],
+        "sweep": ["sweep", "--vocab", paths["vocab"],
+                  "--wordnet", paths["wordnet"], "--gold", paths["gold"],
+                  "--taxonomy-roots", paths["roots"],
+                  "--ol-min", "1", "--f-min", "1"],
+        "baseline": ["baseline", "--kind", "random", "--vocab",
+                     paths["vocab"], "--wordnet", paths["wordnet"]],
+    }[command]
+    return args + ["--out", str(out)]
+
+
+def _single_error_line(err):
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    return lines[0]
+
+
+class TestFailurePaths:
+    """Each failure ends with one ``error:`` line and its exit code."""
+
+    @pytest.mark.parametrize("command, config, message", [
+        ("map", "min_overlap = abc\n", "min_overlap"),
+        ("map", "min-freq = 1.5\n", "min_freq"),
+        ("sweep", "workers = many\n", "workers"),
+        ("baseline", "threshold = high\n", "threshold"),
+        ("baseline", "seed = 4 2\n", "seed"),
+        ("map", None, "absent.cfg"),
+        ("sweep", None, "absent.cfg"),
+        ("baseline", None, "absent.cfg"),
+    ])
+    def test_bad_config_exits_1(self, paths, tmp_path, capsys, command,
+                                config, message):
+        cfg = tmp_path / "absent.cfg"
+        if config is not None:
+            cfg.write_text(config)
+        code = main(_command_args(command, paths, tmp_path / "o")
+                    + ["--config", str(cfg)])
+        assert code == 1
+        assert message in _single_error_line(capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--ol-min", ""], "--ol-min"),
+        (["--f-min", ""], "--f-min"),
+        (["--f-min", " , "], "--f-min"),
+        (["--ol-min", "1,x"], "--ol-min"),
+        (["--taxonomy", "yes"], "--taxonomy"),
+        (["--taxonomy", "off,maybe"], "--taxonomy"),
+        (["--taxonomy", ""], "--taxonomy"),
+    ])
+    def test_malformed_grid_flag_is_usage_error(self, paths, tmp_path,
+                                                capsys, flags, message):
+        args = _command_args("sweep", paths, tmp_path / "o")
+        code = main(args + flags)
+        assert code == 2
+        assert message in _single_error_line(capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
+    def test_malformed_grid_value_in_config_is_usage_error(self, paths,
+                                                           tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("taxonomy = yes\n")
+        code = main(_command_args("sweep", paths, tmp_path / "o")
+                    + ["--config", str(cfg)])
+        assert code == 2
+        assert "--taxonomy" in _single_error_line(capsys.readouterr().err)

@@ -1,5 +1,7 @@
 """WordNet store loading, lemma lookup, and taxonomy closures."""
 
+import dataclasses
+import gc
 import json
 import random
 from collections import deque
@@ -10,8 +12,10 @@ from vocmap.wordnet import (
     HYPONYM_OF,
     PART_MERONYM_OF,
     LoadError,
+    Synset,
     SynsetId,
     WordNetStore,
+    WordSense,
     load_fixture,
     load_wndb,
     load_wndb_dir,
@@ -77,6 +81,18 @@ class TestFixtureLoader:
         with pytest.raises(LoadError, match="duplicate sense number"):
             load_fixture(data)
 
+    def test_duplicate_sense_number_among_several_senses(self):
+        data = _fixture_bytes([_simple_synset(1, "bay", sense_number=3),
+                               _simple_synset(2, "bay", sense_number=1),
+                               _simple_synset(3, "bay", sense_number=3)])
+        with pytest.raises(LoadError,
+                           match="duplicate sense number 3 for lemma 'bay'"):
+            load_fixture(data)
+
+    def test_invalid_utf8_is_a_load_error(self):
+        with pytest.raises(LoadError, match="invalid JSON"):
+            load_fixture(b'{"synsets": [], "exceptions": {"\xff": "x"}}')
+
 
 class TestWndbLoader:
     def test_empty_files(self):
@@ -110,6 +126,27 @@ class TestWndbLoader:
     def test_malformed_data_line_names_file_and_line(self):
         with pytest.raises(LoadError, match=r"data\.noun, line 1"):
             load_wndb(b"", b"00000001 17 n xx | broken\n")
+
+    @pytest.mark.parametrize("name", ["data.noun", "index.noun",
+                                      "cntlist.rev", "noun.exc"])
+    def test_invalid_utf8_names_file_and_line(self, fixtures_dir, name):
+        files = {f: (fixtures_dir / "wndb" / f).read_bytes()
+                 for f in ("index.noun", "data.noun", "cntlist.rev",
+                           "noun.exc")}
+        line_no = files[name].count(b"\n") + 1
+        files[name] += b"zz \xff\xfe\n"
+        with pytest.raises(LoadError, match=rf"^{name}, line {line_no}: "
+                                            r"invalid UTF-8"):
+            load_wndb(files["index.noun"], files["data.noun"],
+                      files["cntlist.rev"], files["noun.exc"])
+
+    def test_invalid_utf8_inside_a_gloss(self, fixtures_dir):
+        data = (fixtures_dir / "wndb" / "data.noun").read_bytes()
+        corrupted = data.replace(b"| a clear", b"| \xff\xfea clear")
+        assert corrupted != data
+        index = (fixtures_dir / "wndb" / "index.noun").read_bytes()
+        with pytest.raises(LoadError, match=r"data\.noun, line 3: "):
+            load_wndb(index, corrupted)
 
     def test_dangling_pointer_rejected(self):
         data = b"00000001 17 n 01 bay 0 001 @ 00000099 n 0000 | gloss\n"
@@ -260,6 +297,105 @@ class TestSynsetNaming:
     def test_resolve_unknown_name(self, mini_store):
         with pytest.raises(LoadError, match="no such noun sense"):
             mini_store.resolve_synset_name("unicorn-noun-1")
+
+
+class TestSenseRecords:
+    def _sense(self, lemma="bay", sense_number=1):
+        return WordSense(lemma=lemma, synset=_sid(1),
+                         sense_number=sense_number, tag_frequency=0)
+
+    def test_frozen(self):
+        sense = self._sense()
+        synset = Synset(id=_sid(1), senses=(sense,), gloss="")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sense.lemma = "sea"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            synset.gloss = "changed"
+
+    def test_equal_and_hashable_by_value(self):
+        a, b = self._sense(), self._sense()
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != self._sense(sense_number=2)
+        syn_a = Synset(id=_sid(1), senses=(a,), gloss="g")
+        syn_b = Synset(id=_sid(1), senses=(b,), gloss="g")
+        assert syn_a == syn_b and hash(syn_a) == hash(syn_b)
+        assert len({a, b, syn_a, syn_b}) == 2
+
+
+def _load_mini_fixture(fixtures_dir):
+    return load_fixture((fixtures_dir / "wordnet_mini.json").read_bytes())
+
+
+def _load_mini_wndb(fixtures_dir):
+    return load_wndb_dir(fixtures_dir / "wndb")
+
+
+def _load_bad_fixture(fixtures_dir):
+    # the dangling relation is found while the store is being built
+    return load_fixture(_fixture_bytes(
+        [_simple_synset(1, "bay", relations=[(HYPONYM_OF, 99)])]))
+
+
+def _load_bad_wndb(fixtures_dir):
+    return load_wndb(b"", b"00000001 17 n xx | broken\n")
+
+
+class TestCollectorPaused:
+    """Loads run with the cyclic garbage collector paused."""
+
+    @pytest.fixture
+    def collections(self):
+        """Generations of the collections that run while the test does."""
+        seen = []
+
+        def callback(phase, info):
+            if phase == "start":
+                seen.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(callback)
+        yield seen
+        gc.callbacks.remove(callback)
+
+    @pytest.fixture
+    def gc_state(self):
+        was_enabled = gc.isenabled()
+        threshold = gc.get_threshold()
+        yield
+        gc.set_threshold(*threshold)
+        (gc.enable if was_enabled else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("load", [_load_mini_fixture, _load_mini_wndb])
+    def test_state_restored(self, fixtures_dir, gc_state, enabled, load):
+        (gc.enable if enabled else gc.disable)()
+        assert len(load(fixtures_dir)) > 0
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("load", [_load_bad_fixture, _load_bad_wndb])
+    def test_state_restored_after_load_error(self, fixtures_dir, gc_state,
+                                             enabled, load):
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(LoadError):
+            load(fixtures_dir)
+        assert gc.isenabled() is enabled
+
+    def test_small_load_makes_no_full_collection(self, fixtures_dir,
+                                                 collections):
+        _load_mini_fixture(fixtures_dir)
+        assert 2 not in collections
+
+    def test_large_load_makes_exactly_one_full_collection(
+            self, gc_state, collections):
+        # thresholds low enough that this load counts as a large one
+        data = _fixture_bytes([_simple_synset(n, f"w{n}", gloss=f"g {n}")
+                               for n in range(500)])
+        gc.set_threshold(1000, 1, 1)
+        gc.collect()
+        collections.clear()
+        load_fixture(data)
+        assert collections.count(2) == 1
 
 
 class TestStoreValidation:
