@@ -22,10 +22,8 @@ from vocmap.mapper import (
     assign_relation,
     find_candidates,
     find_semantic_mapping,
-    lexical_match,
     map_vocabulary,
     random_baseline_mapping,
-    rank_desc,
     salience,
     select_best,
 )
@@ -34,7 +32,6 @@ from vocmap.text import (
     default_stopwords,
     extract_definition_terms,
     lemmatize_noun,
-    lexical_overlap,
     normalize_definition,
     tokenize,
 )

@@ -48,6 +48,18 @@ def _read_roots(path: str, store: wordnet.WordNetStore):
     return [store.resolve_synset_name(name) for name in names]
 
 
+def _unknown_gold_synsets(gold: vocab.MappingSet,
+                          store: wordnet.WordNetStore) -> list[str]:
+    """Sorted gold synset names that no store synset carries, so no machine
+    mapping can ever match them."""
+    def _known(name: str) -> bool:
+        try:
+            return store.synset_name(store.resolve_synset_name(name)) == name
+        except wordnet.LoadError:
+            return False
+    return sorted(n for n in {m.synset for m in gold} if not _known(n))
+
+
 def _write(directory: Path, name: str, payload: bytes) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     (directory / name).write_bytes(payload)
@@ -59,16 +71,24 @@ def _write_report(directory: Path, lines: list[str]) -> None:
 
 
 def _load_config_file(path: str) -> dict[str, str]:
+    try:
+        text = Path(path).read_text("utf-8")
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: not valid UTF-8") from None
     values: dict[str, str] = {}
-    for line_no, raw in enumerate(Path(path).read_text("utf-8").splitlines(), 1):
+    for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise vocab.ParseError("expected 'key = value'", line_no)
+            raise ValueError(f"{path}, line {line_no}: expected 'key = value'")
         key, _, value = line.partition("=")
         values[key.strip().replace("-", "_")] = value.strip()
     return values
+
+
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
 
 
 def _merge_config(args: argparse.Namespace,
@@ -82,17 +102,13 @@ def _merge_config(args: argparse.Namespace,
         if key in file_values:
             raw = file_values[key]
             caster = type(default) if default is not None else str
-            if caster is bool:
-                value: object = raw.lower() in ("1", "true", "yes", "on")
-            elif caster in (int, float):
-                try:
-                    value = caster(raw)
-                except ValueError:
-                    raise ValueError(
-                        f"config value {key} = {raw!r} is not a valid "
-                        f"{caster.__name__}") from None
-            else:
-                value = raw
+            try:
+                value = _BOOLEANS[raw.lower()] if caster is bool \
+                    else caster(raw)
+            except (KeyError, ValueError):
+                raise ValueError(
+                    f"config value {key} = {raw!r} is not a valid "
+                    f"{caster.__name__}") from None
             setattr(args, key, value)
         else:
             setattr(args, key, default)
@@ -184,6 +200,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         store = _load_store(args.wordnet)
         vocabulary = _load_vocabulary(args.vocab)
         gold = vocab.load_gold(Path(args.gold).read_bytes())
+        unknown = _unknown_gold_synsets(gold, store)
+        if unknown:
+            print(f"warning: {len(unknown)} gold synset names are not in the "
+                  f"store, first {unknown[0]}", file=sys.stderr)
         taxonomy = None
         if taxonomy_on:
             taxonomy = store.taxonomy_closure(_read_roots(args.taxonomy_roots,
@@ -285,7 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--gold", required=True,
                          help="gold-standard mapping N-Triples file")
     p_sweep.add_argument("--taxonomy-roots", dest="taxonomy_roots")
-    p_sweep.add_argument("--workers", type=int)
+    p_sweep.add_argument("--workers", type=int,
+                         help="accepted for compatibility; has no effect")
     p_sweep.add_argument("--ol-min", dest="ol_min",
                          help="comma-separated overlap thresholds")
     p_sweep.add_argument("--f-min", dest="f_min",

@@ -3,20 +3,19 @@
 A machine mapping is scored against a human gold standard by exact triple
 identity: a mapping with the right synset but the wrong relation counts as
 incorrect.  The F-measure defaults to beta = 0.5, weighting precision over
-recall.  The sweep runs every grid point as an independent pure computation
-over shared read-only inputs, so results never depend on worker count.
+recall.  The sweep builds one threshold-independent candidate table and
+selects from it once per grid point, in sequence.
 """
 
 from __future__ import annotations
 
 import warnings as _warnings
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Sequence
 
-from vocmap.mapper import MapperConfig, map_vocabulary
+from vocmap.mapper import CandidateTable, MapperConfig
 from vocmap.vocab import Mapping, MappingRelation, MappingSet, Provenance
 from vocmap.wordnet import SynsetId, WordNetStore
 
@@ -119,6 +118,10 @@ def run_sweep(vocabulary, store: WordNetStore, gold: MappingSet,
 
     The salient-taxonomy closure must be precomputed and passed in when the
     grid includes the taxonomy-on option; it is shared across all points.
+    One candidate table is built under the loosest filters of the grid, and
+    each point only selects from it, in sequence.  ``workers`` is accepted
+    for compatibility and has no effect.  A row's ``wall_ms`` covers the
+    point's selection and evaluation, not the table build.
     """
     grid = grid if grid is not None else SweepGrid()
     points = grid.points()
@@ -128,22 +131,24 @@ def run_sweep(vocabulary, store: WordNetStore, gold: MappingSet,
     if gold.triples and not ({t for t, _, _ in gold.triples}
                              & set(vocabulary.terms)):
         _warnings.warn("gold standard shares no terms with the vocabulary")
-
-    def _evaluate_point(point: tuple[bool, int, int]) -> SweepRow:
-        taxonomy_on, f_min, ol_min = point
+    if not points:
+        return []
+    floor = MapperConfig(
+        ol_min=min(ol_min for _, _, ol_min in points),
+        f_min=min(f_min for _, f_min, _ in points),
+        taxonomy=taxonomy if all(on for on, _, _ in points) else None)
+    table = CandidateTable(vocabulary, store, floor)
+    rows = []
+    for taxonomy_on, f_min, ol_min in points:
         config = MapperConfig(ol_min=ol_min, f_min=f_min,
                               taxonomy=taxonomy if taxonomy_on else None)
         started = perf_counter()
-        mapping = map_vocabulary(vocabulary, store, config)
+        mapping = table.select(config)
         result = evaluate(mapping, gold)
-        return SweepRow(config=config, result=result,
-                        n_mappings=len(mapping),
-                        wall_ms=(perf_counter() - started) * 1000.0)
-
-    if workers <= 1:
-        return [_evaluate_point(p) for p in points]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_evaluate_point, points))
+        rows.append(SweepRow(config=config, result=result,
+                             n_mappings=len(mapping),
+                             wall_ms=(perf_counter() - started) * 1000.0))
+    return rows
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,15 @@ salient taxonomy.  Survivors are scored by a normalized combination of the
 frequency rank, the overlap rank, and the taxonomy flag; the best candidate
 yields the mapping.  A second pass maps terms extracted from the lexical
 definition, always with the 'related' relation.
+
+The text work does not depend on the thresholds: a ``CandidateTable`` does
+it once, and each config then only filters, picks and ranks its rows.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -25,7 +29,8 @@ from vocmap.text import (
     normalize_definition,
     tokenize,
 )
-from vocmap.vocab import Mapping, MappingRelation, MappingSet, Provenance, Term
+from vocmap.vocab import (Mapping, MappingRelation, MappingSet, Provenance,
+                          Term, Vocabulary)
 from vocmap.wordnet import SynsetId, WordNetStore, WordSense
 
 
@@ -40,14 +45,12 @@ class MapperConfig:
 
     ``taxonomy`` of None means the salient taxonomy coincides with the whole
     store: nothing is filtered and every candidate gets the taxonomy point.
-    ``seed`` only drives the random baseline.
     """
 
     ol_min: int = 0
     f_min: int = 0
     taxonomy: frozenset[SynsetId] | None = None
     use_alt_labels: bool = False
-    seed: int = 0
 
     def __post_init__(self):
         if self.ol_min < 0:
@@ -65,35 +68,13 @@ class Candidate:
     match_kind: MatchKind
     f: int
     ol: int
-    theta: int
-
-
-def lexical_match(lemma: str, label: str) -> MatchKind | None:
-    """Match a word-sense lemma against a label.
-
-    Complete when the lemma's token sequence equals the label's; partial
-    when it occurs as a contiguous subsequence; None otherwise.
-    """
-    lemma_tokens = [t for t in lemma.split("_") if t]
-    label_tokens = tokenize(label)
-    if not lemma_tokens or not label_tokens:
-        return None
-    if lemma_tokens == label_tokens:
-        return MatchKind.COMPLETE
-    width = len(lemma_tokens)
-    for i in range(len(label_tokens) - width + 1):
-        if label_tokens[i:i + width] == lemma_tokens:
-            return MatchKind.PARTIAL
-    return None
 
 
 def _matching_senses(label: str, store: WordNetStore):
-    """All (sense, kind) pairs whose lemma lexically matches the label.
-
-    Equivalent to testing every sense in the store with lexical_match, but
-    driven by the lemma index: every contiguous token subsequence of the
-    label is a potential lemma.
-    """
+    """All (sense, kind) pairs whose lemma lexically matches the label:
+    complete when its tokens equal the label's, partial when they are a
+    contiguous run of them.  Every such run is looked up in the lemma
+    index."""
     tokens = tokenize(label)
     matches: list[tuple[WordSense, MatchKind]] = []
     tried: set[str] = set()
@@ -110,54 +91,149 @@ def _matching_senses(label: str, store: WordNetStore):
     return matches
 
 
+def _label_forms(term: Term, config: MapperConfig) -> list[str]:
+    """The forms of the preferred label, then (when enabled) of each
+    alternative label, in order and without repeats."""
+    labels = (term.pref_label,) + (term.alt_labels if config.use_alt_labels
+                                   else ())
+    return list(dict.fromkeys(form for label in labels
+                              for form in compound_candidates(label)))
+
+
+def _definition_exclusions(term: Term, store: WordNetStore) -> set[str]:
+    # the term's own label forms never become definition-derived targets
+    exclude = set(compound_candidates(term.pref_label))
+    exclude.update(lemmatize_noun(t, store) for t in tokenize(term.pref_label))
+    return exclude
+
+
+class CandidateTable:
+    """The threshold-independent candidates of a vocabulary.
+
+    Built once per (vocabulary, store, floor config).  Each term has a label
+    pass and one pass per term extracted from its definition; a pass lists
+    its forms in order, each with the lexically matched senses that pass the
+    floor's three filters.  ``select`` maps the vocabulary under any config
+    at or above the floor by only filtering, picking and ranking those rows.
+    """
+
+    def __init__(self, vocabulary, store: WordNetStore, floor: MapperConfig):
+        self.store = store
+        self.floor = floor
+        self._stopwords = default_stopwords()
+        self._gloss_bags: dict[SynsetId, frozenset[str]] = {}
+        self.terms: list[tuple[str, tuple, list[tuple[str, tuple]]]] = []
+        for uri in sorted(vocabulary.terms):
+            term = vocabulary.terms[uri]
+            bag = self._definition_bag(term)
+            # an extracted term is mapped against the definition it came from
+            definition_passes = [
+                (d, self._pass(d, compound_candidates(d), bag))
+                for d in extract_definition_terms(
+                    term.definition, store, self._stopwords,
+                    exclude=_definition_exclusions(term, store))]
+            self.terms.append((uri, self._pass(term.pref_label,
+                                               _label_forms(term, floor), bag),
+                               definition_passes))
+
+    def _definition_bag(self, term: Term) -> frozenset[str]:
+        return normalize_definition(term.definition or "", (), self.store,
+                                    self._stopwords)
+
+    def _pass(self, pref_label: str, forms: Sequence[str],
+              definition_bag: frozenset[str]) -> tuple:
+        """(form, rows, highest f, highest ol) for each form that has any
+        row, in order.
+
+        ``normalize_definition(text, exclude)`` equals the unexcluded bag
+        minus ``exclude``, so the passes of a term share its definition bag
+        and each subtracts the lemmas of the label it maps.
+        """
+        store, floor, gloss_bags = self.store, self.floor, self._gloss_bags
+        term_bag = definition_bag - {lemmatize_noun(t, store)
+                                     for t in tokenize(pref_label)}
+        passes = []
+        for form in forms:
+            rows = []
+            for ws, kind in _matching_senses(form, store):
+                sid = ws.synset
+                if (floor.taxonomy is not None and sid not in floor.taxonomy
+                        or ws.tag_frequency < floor.f_min):
+                    continue
+                # a gloss is normalized only for a sense that can pass
+                if sid not in gloss_bags:
+                    gloss_bags[sid] = normalize_definition(
+                        store.gloss(sid), (), store, self._stopwords)
+                ol = len(term_bag & gloss_bags[sid])
+                if ol >= floor.ol_min:
+                    rows.append(Candidate(synset=sid, word_sense=ws,
+                                          match_kind=kind,
+                                          f=ws.tag_frequency, ol=ol))
+            if rows:
+                passes.append((form, rows, max(c.f for c in rows),
+                               max(c.ol for c in rows)))
+        return tuple(passes)
+
+    def select(self, config: MapperConfig) -> MappingSet:
+        """The vocabulary's mapping under ``config``: a label-derived
+        mapping where one exists, plus a related mapping for each term
+        extracted from the definition.  ``config`` must be at or above the
+        floor, and have the floor's taxonomy when the floor has one."""
+        floor = self.floor
+        if (config.f_min < floor.f_min or config.ol_min < floor.ol_min
+                or config.use_alt_labels != floor.use_alt_labels
+                or floor.taxonomy not in (None, config.taxonomy)):
+            raise ValueError("config is looser than the table's floor")
+        # the rows already lie inside the floor's taxonomy
+        taxonomy = None if config.taxonomy is floor.taxonomy \
+            else config.taxonomy
+        mappings: list[Mapping] = []
+        warnings: list[str] = []
+        for uri, label_pass, definition_passes in self.terms:
+            mapping = _pick(uri, label_pass, config, taxonomy, self.store)
+            if mapping is None:
+                warnings.append(f"no label mapping for <{uri}>")
+            else:
+                mappings.append(mapping)
+            for d, forms in definition_passes:
+                mapping = _pick(uri, forms, config, taxonomy, self.store, d)
+                if mapping is not None:
+                    mappings.append(mapping)
+        return MappingSet(mappings, warnings=warnings)
+
+
 def find_candidates(term: Term, label: str, store: WordNetStore,
-                    config: MapperConfig,
-                    _gloss_bags: dict | None = None) -> list[Candidate]:
+                    config: MapperConfig) -> list[Candidate]:
     """Candidates for one lexical form of a term, after all three filters."""
-    stopwords = default_stopwords()
-    exclude = {lemmatize_noun(t, store) for t in tokenize(term.pref_label)}
-    term_bag = normalize_definition(term.definition or "", exclude, store,
-                                    stopwords)
-    gloss_bags = _gloss_bags if _gloss_bags is not None else {}
-
-    candidates: list[Candidate] = []
-    for ws, kind in _matching_senses(label, store):
-        sid = ws.synset
-        if config.taxonomy is not None and sid not in config.taxonomy:
-            continue
-        # survivors are always members: no taxonomy means the whole store
-        # counts as salient, and an active one already filtered non-members
-        theta = 1
-        if ws.tag_frequency < config.f_min:
-            continue
-        if sid not in gloss_bags:
-            gloss_bags[sid] = normalize_definition(store.gloss(sid), (),
-                                                   store, stopwords)
-        ol = len(term_bag & gloss_bags[sid])
-        if ol < config.ol_min:
-            continue
-        candidates.append(Candidate(synset=sid, word_sense=ws,
-                                    match_kind=kind, f=ws.tag_frequency,
-                                    ol=ol, theta=theta))
-    return candidates
+    table = CandidateTable(Vocabulary(()), store, config)
+    forms = table._pass(term.pref_label, (label,),
+                        table._definition_bag(term))
+    return forms[0][1] if forms else []
 
 
-def rank_desc(values: Sequence[float]) -> list[int]:
-    """Descending competition ranks: 1 + the count of strictly greater
-    values; ties share a rank."""
-    return [1 + sum(1 for other in values if other > v) for v in values]
+def _desc_ranks(values: Sequence[int]) -> list[int]:
+    """Descending competition ranks by sorting: 1 + the count of strictly
+    greater values; ties share a rank."""
+    ordered = sorted(values)
+    return [1 + len(ordered) - bisect_right(ordered, v) for v in values]
+
+
+def _salience(n: int, rank_f: int, rank_ol: int) -> float:
+    # theta is 1 for every survivor: a member of the taxonomy, or of the
+    # whole store when there is none
+    return (2 * n - rank_f - rank_ol + 1) / (2 * n - 1)
 
 
 def salience(candidate: Candidate, candidates: Sequence[Candidate]) -> float:
     """Normalized salience of one candidate within its candidate set.
 
-    With n candidates: (2n - rank(f) - rank(ol) + theta) / (2n - 1),
-    which always lands in [0, 1].
+    With n candidates: (2n - rank(f) - rank(ol) + theta) / (2n - 1), where
+    the taxonomy point theta is 1 for every survivor, so the score lands in
+    (0, 1].
     """
-    n = len(candidates)
     rank_f = 1 + sum(1 for c in candidates if c.f > candidate.f)
     rank_ol = 1 + sum(1 for c in candidates if c.ol > candidate.ol)
-    return (2 * n - rank_f - rank_ol + candidate.theta) / (2 * n - 1)
+    return _salience(len(candidates), rank_f, rank_ol)
 
 
 def select_best(candidates: Sequence[Candidate]) -> Candidate:
@@ -168,11 +244,12 @@ def select_best(candidates: Sequence[Candidate]) -> Candidate:
     """
     if not candidates:
         raise ValueError("cannot select from an empty candidate set")
-    return min(
-        candidates,
-        key=lambda c: (-salience(c, candidates), -c.f, c.synset.offset,
-                       c.word_sense.lemma, c.word_sense.sense_number),
-    )
+    n = len(candidates)
+    ranked = zip(candidates, _desc_ranks([c.f for c in candidates]),
+                 _desc_ranks([c.ol for c in candidates]))
+    return min(ranked, key=lambda r: (
+        -_salience(n, r[1], r[2]), -r[0].f, r[0].synset.offset,
+        r[0].word_sense.lemma, r[0].word_sense.sense_number))[0]
 
 
 def assign_relation(best: Candidate,
@@ -187,9 +264,34 @@ def assign_relation(best: Candidate,
     return MappingRelation.RELATED
 
 
+def _pick(uri: str, forms: tuple, config: MapperConfig,
+          taxonomy: frozenset[SynsetId] | None, store: WordNetStore,
+          definition_term: str | None = None) -> Mapping | None:
+    """The mapping of one pass: the best of the first form with any row
+    left after the filters, or None.  A pass for a term extracted from the
+    definition always yields a related mapping."""
+    for form, rows, max_f, max_ol in forms:
+        if max_f < config.f_min or max_ol < config.ol_min:
+            continue  # no row of this form passes
+        kept = [c for c in rows if c.f >= config.f_min
+                and c.ol >= config.ol_min
+                and (taxonomy is None or c.synset in taxonomy)]
+        if not kept:
+            continue
+        best = select_best(kept)
+        label_pass = definition_term is None
+        return Mapping(
+            term=uri, synset=store.synset_name(best.synset),
+            relation=assign_relation(best, kept) if label_pass
+            else MappingRelation.RELATED, score=salience(best, kept),
+            provenance=Provenance.LABEL if label_pass
+            else Provenance.DEFINITION,
+            source_word=form if label_pass else definition_term)
+    return None
+
+
 def find_semantic_mapping(term: Term, store: WordNetStore,
-                          config: MapperConfig,
-                          _gloss_bags: dict | None = None) -> Mapping | None:
+                          config: MapperConfig) -> Mapping | None:
     """Map one term to its best synset, or None when no form yields
     candidates.
 
@@ -198,34 +300,10 @@ def find_semantic_mapping(term: Term, store: WordNetStore,
     sequence for each alternative label.  The first form with a non-empty
     candidate set wins.
     """
-    forms: list[str] = []
-    labels = (term.pref_label,) + (term.alt_labels if config.use_alt_labels
-                                   else ())
-    for label in labels:
-        for form in compound_candidates(label):
-            if form not in forms:
-                forms.append(form)
-    for form in forms:
-        candidates = find_candidates(term, form, store, config, _gloss_bags)
-        if not candidates:
-            continue
-        best = select_best(candidates)
-        return Mapping(
-            term=term.uri,
-            relation=assign_relation(best, candidates),
-            synset=store.synset_name(best.synset),
-            score=salience(best, candidates),
-            provenance=Provenance.LABEL,
-            source_word=form,
-        )
-    return None
-
-
-def _definition_exclusions(term: Term, store: WordNetStore) -> set[str]:
-    # the term's own label forms never become definition-derived targets
-    exclude = set(compound_candidates(term.pref_label))
-    exclude.update(lemmatize_noun(t, store) for t in tokenize(term.pref_label))
-    return exclude
+    table = CandidateTable(Vocabulary(()), store, config)
+    forms = table._pass(term.pref_label, _label_forms(term, config),
+                        table._definition_bag(term))
+    return _pick(term.uri, forms, config, None, store)
 
 
 def map_vocabulary(vocabulary, store: WordNetStore,
@@ -233,34 +311,7 @@ def map_vocabulary(vocabulary, store: WordNetStore,
     """Map every term of a vocabulary: a label-derived mapping where one
     exists, plus a related mapping for each term extracted from the lexical
     definition.  Terms are processed in lexicographic URI order."""
-    stopwords = default_stopwords()
-    gloss_bags: dict = {}
-    mappings: list[Mapping] = []
-    warnings: list[str] = []
-    for uri in sorted(vocabulary.terms):
-        term = vocabulary.terms[uri]
-        label_mapping = find_semantic_mapping(term, store, config, gloss_bags)
-        if label_mapping is not None:
-            mappings.append(label_mapping)
-        else:
-            warnings.append(f"no label mapping for <{uri}>")
-        for d in extract_definition_terms(term.definition, store, stopwords,
-                                          exclude=_definition_exclusions(term, store)):
-            # the extracted term inherits the source definition so its gloss
-            # overlap is judged against the context it was found in
-            d_term = Term(uri=uri, pref_label=d, definition=term.definition)
-            d_mapping = find_semantic_mapping(d_term, store, config, gloss_bags)
-            if d_mapping is None:
-                continue
-            mappings.append(Mapping(
-                term=uri,
-                relation=MappingRelation.RELATED,
-                synset=d_mapping.synset,
-                score=d_mapping.score,
-                provenance=Provenance.DEFINITION,
-                source_word=d,
-            ))
-    return MappingSet(mappings, config=config, warnings=warnings)
+    return CandidateTable(vocabulary, store, config).select(config)
 
 
 def random_baseline_mapping(vocabulary, store: WordNetStore,
@@ -274,37 +325,24 @@ def random_baseline_mapping(vocabulary, store: WordNetStore,
     """
     stopwords = default_stopwords()
     mappings: list[Mapping] = []
-
-    def _pick(rng: random.Random, label: str) -> tuple[WordSense, str] | None:
-        for form in compound_candidates(label):
-            senses = sorted(
-                {ws for ws, _ in _matching_senses(form, store)},
-                key=lambda ws: (ws.synset.offset, ws.lemma, ws.sense_number),
-            )
-            if senses:
-                return rng.choice(senses), form
-        return None
-
     for uri in sorted(vocabulary.terms):
         term = vocabulary.terms[uri]
         rng = random.Random(f"{seed}:{uri}")
-        picked = _pick(rng, term.pref_label)
-        if picked is not None:
-            ws, form = picked
-            mappings.append(Mapping(
-                term=uri, relation=MappingRelation.RELATED,
-                synset=store.synset_name(ws.synset), score=0.0,
-                provenance=Provenance.LABEL, source_word=form,
-            ))
-        for d in extract_definition_terms(term.definition, store, stopwords,
-                                          exclude=_definition_exclusions(term, store)):
-            picked = _pick(rng, d)
-            if picked is None:
-                continue
-            ws, _ = picked
-            mappings.append(Mapping(
-                term=uri, relation=MappingRelation.RELATED,
-                synset=store.synset_name(ws.synset), score=0.0,
-                provenance=Provenance.DEFINITION, source_word=d,
-            ))
+        passes = [(None, term.pref_label)] + [
+            (d, d) for d in extract_definition_terms(
+                term.definition, store, stopwords,
+                exclude=_definition_exclusions(term, store))]
+        for d, label in passes:
+            for form in compound_candidates(label):
+                senses = sorted(
+                    {ws for ws, _ in _matching_senses(form, store)},
+                    key=lambda ws: (ws.synset.offset, ws.lemma,
+                                    ws.sense_number))
+                if senses:
+                    mappings.append(Mapping(
+                        term=uri, relation=MappingRelation.RELATED,
+                        synset=store.synset_name(rng.choice(senses).synset),
+                        score=0.0, provenance=Provenance.LABEL if d is None
+                        else Provenance.DEFINITION, source_word=d or form))
+                    break
     return MappingSet(mappings)

@@ -84,11 +84,6 @@ def normalize_definition(text: str, exclude: Iterable[str], store,
     return frozenset(bag - set(exclude))
 
 
-def lexical_overlap(a: Iterable[str], b: Iterable[str]) -> int:
-    """Number of distinct lemmas shared by two normalized bags."""
-    return len(frozenset(a) & frozenset(b))
-
-
 def compound_candidates(label: str) -> list[str]:
     """Lexical forms for a label: the full collocation first, then each
     constituent token as a fallback for labels with several words."""

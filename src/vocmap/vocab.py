@@ -165,14 +165,14 @@ class Mapping:
 
 
 class MappingSet:
-    """A de-duplicated set of mappings plus the configuration that made it.
+    """A de-duplicated set of mappings plus the warnings raised making it.
 
     Duplicate (term, relation, synset) triples collapse to the first one
     seen.  Identity for evaluation purposes is the triple alone; scores,
     provenance, and source words are carried along as annotations.
     """
 
-    def __init__(self, mappings: Iterable[Mapping], config=None,
+    def __init__(self, mappings: Iterable[Mapping],
                  warnings: Iterable[str] = ()):
         kept: list[Mapping] = []
         seen: set[tuple] = set()
@@ -182,12 +182,9 @@ class MappingSet:
             seen.add(m.triple)
             kept.append(m)
         self.mappings = tuple(kept)
-        self.config = config
+        self.triples: frozenset[tuple[str, MappingRelation, str]] = \
+            frozenset(seen)
         self.warnings = list(warnings)
-
-    @property
-    def triples(self) -> frozenset[tuple[str, MappingRelation, str]]:
-        return frozenset(m.triple for m in self.mappings)
 
     def __len__(self) -> int:
         return len(self.mappings)
@@ -209,6 +206,9 @@ _PLAIN_ESCAPES = {
     '"': '"', "'": "'", "\\": "\\",
 }
 
+_UCHAR_WIDTHS = {"u": 4, "U": 8}
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+
 
 def _unescape(text: str, line_no: int) -> str:
     out: list[str] = []
@@ -220,12 +220,18 @@ def _unescape(text: str, line_no: int) -> str:
             i += 1
             continue
         esc = text[i + 1]
-        if esc == "u":
-            out.append(chr(int(text[i + 2:i + 6], 16)))
-            i += 6
-        elif esc == "U":
-            out.append(chr(int(text[i + 2:i + 10], 16)))
-            i += 10
+        if esc in _UCHAR_WIDTHS:
+            width = _UCHAR_WIDTHS[esc]
+            digits = text[i + 2:i + 2 + width]
+            if len(digits) != width or not _HEX_DIGITS.issuperset(digits):
+                raise ParseError(f"\\{esc} needs exactly {width} hex digits",
+                                 line_no)
+            code = int(digits, 16)
+            if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+                raise ParseError(f"\\{esc}{digits} is not a Unicode scalar "
+                                 "value", line_no)
+            out.append(chr(code))
+            i += 2 + width
         elif esc in _PLAIN_ESCAPES:
             out.append(_PLAIN_ESCAPES[esc])
             i += 2
@@ -240,7 +246,14 @@ def _iter_triples(data: bytes | str):
     Objects are ("iri", value) or ("literal", text, language-or-None).
     Blank lines and comment lines are skipped.
     """
-    text = data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else data
+    if isinstance(data, (bytes, bytearray)):
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError("invalid UTF-8",
+                             data.count(b"\n", 0, exc.start) + 1) from None
+    else:
+        text = data
     for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):

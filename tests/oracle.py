@@ -19,8 +19,10 @@ from vocmap.text import (
 )
 
 
-def naive_match(lemma: str, label: str) -> str | None:
-    """'complete' / 'partial' / None by direct token-window comparison."""
+def lexical_match(lemma: str, label: str) -> str | None:
+    """'complete' when the lemma's token sequence equals the label's,
+    'partial' when it occurs as a contiguous window of it, None otherwise,
+    by direct token-window comparison."""
     lemma_tokens = [t for t in lemma.split("_") if t]
     label_tokens = tokenize(label)
     if not lemma_tokens or not label_tokens:
@@ -31,6 +33,17 @@ def naive_match(lemma: str, label: str) -> str | None:
     windows = [label_tokens[i:i + width]
                for i in range(len(label_tokens) - width + 1)]
     return "partial" if lemma_tokens in windows else None
+
+
+def lexical_overlap(a, b) -> int:
+    """Number of distinct lemmas shared by two normalized bags."""
+    return len(frozenset(a) & frozenset(b))
+
+
+def rank_desc(values) -> list[int]:
+    """Descending competition ranks by direct counting: 1 + the count of
+    strictly greater values; ties share a rank."""
+    return [1 + sum(1 for other in values if other > v) for v in values]
 
 
 def _synset_name(synset) -> str:
@@ -49,12 +62,12 @@ def _candidates(form, definition, exclude, store, ol_min, f_min, taxonomy):
         gloss_bag = normalize_definition(synset.gloss, exclude, store,
                                          stopwords)
         for sense in synset.senses:
-            kind = naive_match(sense.lemma, form)
+            kind = lexical_match(sense.lemma, form)
             if kind is None:
                 continue
             if sense.tag_frequency < f_min:
                 continue
-            overlap = len([lemma for lemma in term_bag if lemma in gloss_bag])
+            overlap = lexical_overlap(term_bag, gloss_bag)
             if overlap < ol_min:
                 continue
             rows.append((sense, kind, sense.tag_frequency, overlap, synset))

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from oracle import mapping_set_tuples, oracle_map_vocabulary
+from oracle import lexical_overlap, mapping_set_tuples, oracle_map_vocabulary
 from vocmap.cli import main
 from vocmap.evaluation import (
     SweepGrid,
@@ -35,7 +35,6 @@ from vocmap.mapper import (
 from vocmap.text import (
     compound_candidates,
     default_stopwords,
-    lexical_overlap,
     normalize_definition,
 )
 from vocmap.vocab import load_gold, parse_vocabulary_ntriples
@@ -57,12 +56,12 @@ def _criterion(name: str):
     print(f"[acceptance] {name}: PASS{suffix}")
 
 
-def _make_candidate(offset, f, ol, theta):
+def _make_candidate(offset, f, ol):
     sid = SynsetId("n", offset)
     ws = WordSense(lemma=f"w{offset}", synset=sid, sense_number=1,
                    tag_frequency=f)
     return Candidate(synset=sid, word_sense=ws,
-                     match_kind=MatchKind.COMPLETE, f=f, ol=ol, theta=theta)
+                     match_kind=MatchKind.COMPLETE, f=f, ol=ol)
 
 
 def test_salience_formula_exactness():
@@ -70,9 +69,9 @@ def test_salience_formula_exactness():
     the score is exactly 0.8; random sets always land in [0, 1]."""
     with _criterion("salience formula exactness") as detail:
         started = time.perf_counter()
-        target = _make_candidate(1, f=10, ol=3, theta=1)
-        others = [_make_candidate(2, f=5, ol=7, theta=1),
-                  _make_candidate(3, f=5, ol=1, theta=1)]
+        target = _make_candidate(1, f=10, ol=3)
+        others = [_make_candidate(2, f=5, ol=7),
+                  _make_candidate(3, f=5, ol=1)]
         assert salience(target, [target] + others) == 0.8
 
         rng = random.Random(20260808)
@@ -80,8 +79,7 @@ def test_salience_formula_exactness():
             n = rng.randint(1, 8)
             candidates = [
                 _make_candidate(i, f=rng.randint(0, 1000),
-                                ol=rng.randint(0, 50),
-                                theta=rng.randint(0, 1))
+                                ol=rng.randint(0, 50))
                 for i in range(n)
             ]
             for candidate in candidates:

@@ -76,6 +76,19 @@ class TestCmdMap:
                      "--min-overlap", "2", "--out", str(out_flag)]) == 0
         assert "min_overlap: 2" in (out_flag / "run-report.txt").read_text()
 
+    @pytest.mark.parametrize("value, shown", [
+        ("on", "on"), ("Yes", "on"), ("1", "on"), ("TRUE", "on"),
+        ("off", "off"), ("no", "off"), ("0", "off"), ("False", "off"),
+    ])
+    def test_config_boolean_spellings(self, paths, tmp_path, value, shown):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"alt_labels = {value}\n")
+        out = tmp_path / "o"
+        assert main(["map", "--vocab", paths["vocab"],
+                     "--wordnet", paths["wordnet"], "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        assert f"alt_labels: {shown}" in (out / "run-report.txt").read_text()
+
 
 class TestCmdSweep:
     def test_restricted_grid_row_count(self, paths, tmp_path):
@@ -116,6 +129,28 @@ class TestCmdSweep:
                      "--out", str(out)])
         assert code == 0
         assert len((out / "sweep.tsv").read_text().splitlines()) == 2
+
+    def test_unknown_gold_synsets_warn_once(self, paths, tmp_path, capsys):
+        gold = tmp_path / "gold.nt"
+        related = "<http://www.w3.org/2004/02/skos/core#relatedMatch>"
+        synset = "<http://www.w3.org/2006/03/wn/wn20/instances/synset-"
+        gold.write_text(open(paths["gold"]).read() + "".join(
+            f"<{BAY}> {related} {synset}{name}> .\n"
+            for name in ("unicorn-noun-1", "watercourse-noun-1",
+                         "bay-noun-9")))
+        args = ["sweep", "--vocab", paths["vocab"],
+                "--wordnet", paths["wordnet"], "--taxonomy", "off",
+                "--ol-min", "1", "--f-min", "1"]
+        assert main(args + ["--gold", paths["gold"],
+                            "--out", str(tmp_path / "clean")]) == 0
+        assert capsys.readouterr().err == ""
+        assert main(args + ["--gold", str(gold),
+                            "--out", str(tmp_path / "unknown")]) == 0
+        assert capsys.readouterr().err == (
+            "warning: 3 gold synset names are not in the store, "
+            "first bay-noun-9\n")
+        assert sorted(p.name for p in (tmp_path / "unknown").iterdir()) \
+            == ["summary.tsv", "sweep.tsv"]
 
     def test_summary_written(self, paths, tmp_path):
         out = tmp_path / "sum"
@@ -271,6 +306,11 @@ class TestFailurePaths:
         ("sweep", "workers = many\n", "workers"),
         ("baseline", "threshold = high\n", "threshold"),
         ("baseline", "seed = 4 2\n", "seed"),
+        ("map", "alt_labels = maybe\n", "alt_labels"),
+        ("sweep", "timings = 2\n", "timings"),
+        ("map", "min_overlap 3\n", "absent.cfg, line 1"),
+        ("sweep", "out = o\nworkers\n", "absent.cfg, line 2"),
+        ("baseline", b"seed = \xff\n", "absent.cfg"),
         ("map", None, "absent.cfg"),
         ("sweep", None, "absent.cfg"),
         ("baseline", None, "absent.cfg"),
@@ -278,7 +318,9 @@ class TestFailurePaths:
     def test_bad_config_exits_1(self, paths, tmp_path, capsys, command,
                                 config, message):
         cfg = tmp_path / "absent.cfg"
-        if config is not None:
+        if isinstance(config, bytes):
+            cfg.write_bytes(config)
+        elif config is not None:
             cfg.write_text(config)
         code = main(_command_args(command, paths, tmp_path / "o")
                     + ["--config", str(cfg)])

@@ -130,6 +130,21 @@ class TestRunSweep:
         assert [(r.config, r.result, r.n_mappings) for r in serial] \
             == [(r.config, r.result, r.n_mappings) for r in threaded]
 
+    def test_rows_equal_per_point_mapping_on_full_grid(
+            self, mini_store, mini_vocab, mini_gold, mini_taxonomy):
+        rows = run_sweep(mini_vocab, mini_store, mini_gold,
+                         taxonomy=mini_taxonomy)
+        assert len(rows) == 396
+        for row, (taxonomy_on, f_min, ol_min) in zip(rows,
+                                                     SweepGrid().points()):
+            config = MapperConfig(ol_min=ol_min, f_min=f_min,
+                                  taxonomy=mini_taxonomy if taxonomy_on
+                                  else None)
+            mapping = map_vocabulary(mini_vocab, mini_store, config)
+            assert row.config == config
+            assert row.result == evaluate(mapping, mini_gold)
+            assert row.n_mappings == len(mapping)
+
     def test_taxonomy_on_requires_closure(self, mini_store, mini_vocab,
                                           mini_gold):
         with pytest.raises(ValueError, match="taxonomy"):

@@ -3,19 +3,27 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from oracle import mapping_set_tuples, oracle_map_vocabulary
+from oracle import (
+    lexical_match,
+    mapping_set_tuples,
+    oracle_map_vocabulary,
+    rank_desc,
+)
+from vocmap.evaluation import SweepGrid
 from vocmap.mapper import (
     Candidate,
+    CandidateTable,
     MapperConfig,
     MatchKind,
+    _desc_ranks,
     assign_relation,
     find_candidates,
     find_semantic_mapping,
-    lexical_match,
     map_vocabulary,
     random_baseline_mapping,
-    rank_desc,
     salience,
     select_best,
 )
@@ -28,28 +36,26 @@ STATION = "http://example.org/vocab/term/k:power/v:station"
 POOL = "http://example.org/vocab/term/k:leisure/v:swimming_pool"
 
 
-def _candidate(offset, f, ol, theta=1, kind=MatchKind.COMPLETE, lemma="w",
+def _candidate(offset, f, ol, kind=MatchKind.COMPLETE, lemma="w",
                sense_number=1):
     sid = SynsetId("n", offset)
     ws = WordSense(lemma=lemma, synset=sid, sense_number=sense_number,
                    tag_frequency=f)
-    return Candidate(synset=sid, word_sense=ws, match_kind=kind, f=f, ol=ol,
-                     theta=theta)
+    return Candidate(synset=sid, word_sense=ws, match_kind=kind, f=f, ol=ol)
 
 
 class TestLexicalMatch:
     def test_complete(self):
-        assert lexical_match("university", "university") is MatchKind.COMPLETE
+        assert lexical_match("university", "university") == "complete"
 
     def test_partial(self):
-        assert lexical_match("pool", "swimming pool") is MatchKind.PARTIAL
+        assert lexical_match("pool", "swimming pool") == "partial"
 
     def test_no_match(self):
         assert lexical_match("sea", "bay") is None
 
     def test_collocation_complete(self):
-        assert lexical_match("swimming_pool", "swimming pool") \
-            is MatchKind.COMPLETE
+        assert lexical_match("swimming_pool", "swimming pool") == "complete"
 
     def test_subsequence_must_be_contiguous(self):
         assert lexical_match("salt_pond", "salt water pond") is None
@@ -81,7 +87,7 @@ class TestFindCandidates:
         candidates = find_candidates(term, "bay", mini_store,
                                      MapperConfig(taxonomy=mini_taxonomy))
         assert [c.synset.offset for c in candidates] == [150]
-        assert all(c.theta == 1 for c in candidates)
+        assert all(c.synset in mini_taxonomy for c in candidates)
 
     def test_indicator_values(self, mini_store, mini_vocab):
         term = mini_vocab.terms[BAY]
@@ -99,6 +105,10 @@ class TestRankDesc:
     def test_singleton(self):
         assert rank_desc([42]) == [1]
 
+    @given(st.lists(st.integers(0, 6), max_size=40))
+    def test_sort_ranks_equal_counting_ranks(self, values):
+        assert _desc_ranks(values) == rank_desc(values)
+
 
 class TestSalience:
     def test_worked_example(self):
@@ -109,24 +119,23 @@ class TestSalience:
         assert salience(target, [target] + others) == 0.8
 
     def test_singleton_with_taxonomy_hit(self):
-        c = _candidate(1, f=3, ol=0, theta=1)
+        c = _candidate(1, f=3, ol=0)
         assert salience(c, [c]) == 1.0
 
-    def test_worst_case_is_zero(self):
-        low = _candidate(1, f=1, ol=1, theta=0)
-        high = _candidate(2, f=2, ol=2, theta=0)
-        assert salience(low, [low, high]) == 0.0
+    def test_worst_case_is_the_taxonomy_point_alone(self):
+        low = _candidate(1, f=1, ol=1)
+        high = _candidate(2, f=2, ol=2)
+        assert salience(low, [low, high]) == 1 / 3
 
     def test_bounds_over_random_sets(self):
         rng = random.Random(7)
         for _ in range(2000):
             n = rng.randint(1, 8)
             cands = [_candidate(i, f=rng.randint(0, 100),
-                                ol=rng.randint(0, 10),
-                                theta=rng.randint(0, 1))
+                                ol=rng.randint(0, 10))
                      for i in range(n)]
             for c in cands:
-                assert 0.0 <= salience(c, cands) <= 1.0
+                assert 0.0 < salience(c, cands) <= 1.0
 
 
 class TestSelectBest:
@@ -154,6 +163,16 @@ class TestSelectBest:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             select_best([])
+
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                    min_size=1, max_size=12))
+    def test_equals_pairwise_salience_selection(self, values):
+        cands = [_candidate(i % 3, f=f, ol=ol, sense_number=i + 1)
+                 for i, (f, ol) in enumerate(values)]
+        pairwise = min(cands, key=lambda c: (
+            -salience(c, cands), -c.f, c.synset.offset, c.word_sense.lemma,
+            c.word_sense.sense_number))
+        assert select_best(cands) is pairwise
 
 
 class TestAssignRelation:
@@ -286,6 +305,70 @@ class TestMapVocabulary:
         vocabulary = Vocabulary([Term(uri=BAY, pref_label="qqqq")])
         result = map_vocabulary(vocabulary, mini_store, MapperConfig())
         assert any("no label mapping" in w for w in result.warnings)
+
+
+class TestCandidateTable:
+    FLOOR = (True, 1, 2)  # (taxonomy_on, f_min, ol_min)
+
+    def _config(self, point, taxonomy):
+        taxonomy_on, f_min, ol_min = point
+        return MapperConfig(ol_min=ol_min, f_min=f_min,
+                            taxonomy=taxonomy if taxonomy_on else None)
+
+    def test_floor_table_selects_as_unfloored_table(self, mini_store,
+                                                    mini_vocab,
+                                                    mini_taxonomy):
+        floored = CandidateTable(mini_vocab, mini_store,
+                                 self._config(self.FLOOR, mini_taxonomy))
+        unfloored = CandidateTable(mini_vocab, mini_store, MapperConfig())
+        on, f_floor, ol_floor = self.FLOOR
+        above = [p for p in SweepGrid().points()
+                 if p[0] == on and p[1] >= f_floor and p[2] >= ol_floor]
+        assert len(above) == 17 * 9
+        for point in above:
+            config = self._config(point, mini_taxonomy)
+            assert mapping_set_tuples(floored.select(config)) \
+                == mapping_set_tuples(unfloored.select(config))
+
+    def test_floor_table_builds_fewer_rows(self, mini_store, mini_vocab,
+                                           mini_taxonomy):
+        def _rows(table):
+            return sum(len(rows) for _, label, definitions in table.terms
+                       for forms in [label] + [f for _, f in definitions]
+                       for _, rows, _, _ in forms)
+
+        floored = CandidateTable(mini_vocab, mini_store,
+                                 self._config(self.FLOOR, mini_taxonomy))
+        unfloored = CandidateTable(mini_vocab, mini_store, MapperConfig())
+        assert 0 < _rows(floored) < _rows(unfloored)
+
+    @pytest.mark.parametrize("point", [(True, 0, 2), (True, 1, 1),
+                                       (False, 1, 2)])
+    def test_config_below_the_floor_is_rejected(self, mini_store, mini_vocab,
+                                                mini_taxonomy, point):
+        table = CandidateTable(mini_vocab, mini_store,
+                               self._config(self.FLOOR, mini_taxonomy))
+        with pytest.raises(ValueError, match="floor"):
+            table.select(self._config(point, mini_taxonomy))
+
+    def test_other_taxonomy_than_the_floor_is_rejected(self, mini_store,
+                                                       mini_vocab,
+                                                       mini_taxonomy):
+        table = CandidateTable(mini_vocab, mini_store,
+                               MapperConfig(taxonomy=mini_taxonomy))
+        narrower = frozenset(list(mini_taxonomy)[:3])
+        with pytest.raises(ValueError, match="floor"):
+            table.select(MapperConfig(taxonomy=narrower))
+        assert mapping_set_tuples(table.select(
+            MapperConfig(taxonomy=frozenset(mini_taxonomy)))) \
+            == mapping_set_tuples(map_vocabulary(
+                mini_vocab, mini_store, MapperConfig(taxonomy=mini_taxonomy)))
+
+    def test_alt_label_setting_must_match_the_floor(self, mini_store,
+                                                    mini_vocab):
+        table = CandidateTable(mini_vocab, mini_store, MapperConfig())
+        with pytest.raises(ValueError, match="floor"):
+            table.select(MapperConfig(use_alt_labels=True))
 
 
 class TestRandomBaseline:

@@ -6,12 +6,12 @@ from importlib import resources
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracle import lexical_overlap
 from vocmap.text import (
     compound_candidates,
     default_stopwords,
     extract_definition_terms,
     lemmatize_noun,
-    lexical_overlap,
     normalize_definition,
     tokenize,
 )
@@ -103,6 +103,17 @@ class TestNormalizeDefinition:
             again = normalize_definition(" ".join(sorted(bag)), set(),
                                          mini_store, stopwords)
             assert again == bag
+
+    @given(st.lists(st.sampled_from(["rivers", "of", "the", "water", "men",
+                                     "bay", "stations", "sea", "land"]),
+                    max_size=12),
+           st.sets(st.sampled_from(["river", "water", "man", "bay", "the"])))
+    def test_exclusion_is_set_difference(self, words, exclude):
+        store = _store("river", "water", "man", "bay", "station", "sea")
+        stopwords = default_stopwords()
+        text = " ".join(words)
+        assert normalize_definition(text, exclude, store, stopwords) \
+            == normalize_definition(text, (), store, stopwords) - exclude
 
 
 class TestLexicalOverlap:

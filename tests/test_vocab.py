@@ -122,6 +122,55 @@ class TestParseVocabulary:
         term = parse_vocabulary_ntriples(data).terms[BAY]
         assert term.pref_label == 'a "bay" A'
 
+    def test_long_escape_and_digits_after_short_escape(self):
+        data = (f'<{BAY}> <{SKOS}prefLabel> "\\U0001F30A \\u00e9t\\u00E9"'
+                " .\n")
+        term = parse_vocabulary_ntriples(data).terms[BAY]
+        assert term.pref_label == "\U0001F30A \u00e9t\u00e9"
+        data = f'<{BAY}> <{SKOS}prefLabel> "\\u00411" .\n'
+        assert parse_vocabulary_ntriples(data).terms[BAY].pref_label == "A1"
+
+    @pytest.mark.parametrize("body, message", [
+        ("a\\u12", "4 hex digits"),
+        ("a\\u", "4 hex digits"),
+        ("\\u12g4", "4 hex digits"),
+        ("\\u+123", "4 hex digits"),
+        ("\\U0001F3", "8 hex digits"),
+        ("\\U0000_041", "8 hex digits"),
+        ("\\U0011FFFF", "not a Unicode scalar value"),
+        ("\\uD800", "not a Unicode scalar value"),
+        ("\\U0000DFFF", "not a Unicode scalar value"),
+    ])
+    def test_malformed_escape_reports_line_number(self, body, message):
+        data = f'# comment\n<{BAY}> <{SKOS}prefLabel> "{body}" .\n'
+        with pytest.raises(ParseError, match=message) as err:
+            parse_vocabulary_ntriples(data)
+        assert err.value.line_no == 2
+
+    def test_invalid_utf8_reports_line_number(self):
+        data = (f'<{BAY}> <{SKOS}prefLabel> "bay" .\n'
+                f'<{BAY}> <{SKOS}definition> "').encode() + b'\xff" .\n'
+        with pytest.raises(ParseError, match="UTF-8") as err:
+            parse_vocabulary_ntriples(data)
+        assert err.value.line_no == 2
+
+    @given(st.text())
+    def test_any_literal_body_parses_or_raises_parse_error(self, body):
+        data = f'<{BAY}> <{SKOS}prefLabel> "{body}"@en .\n'
+        try:
+            parse_vocabulary_ntriples(data)
+        except ParseError:
+            pass
+
+    @given(st.binary())
+    def test_any_literal_bytes_parse_or_raise_parse_error(self, body):
+        data = (f'<{BAY}> <{SKOS}definition> "'.encode() + body
+                + f'" .\n<{BAY}> <{SKOS}prefLabel> "bay" .\n'.encode())
+        try:
+            parse_vocabulary_ntriples(data)
+        except ParseError:
+            pass
+
 
 def _mapping(term_suffix, relation, synset, score=1.0):
     return Mapping(term=f"http://example.org/t/{term_suffix}",
