@@ -37,13 +37,40 @@ def _load_store(path: str) -> wordnet.WordNetStore:
     return wordnet.load_fixture(p.read_bytes())
 
 
+def _read_text(path: str) -> str:
+    """A file's text; invalid UTF-8 is an error naming the file and line."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}, line {line_no}: not valid UTF-8") from None
+
+
+def _parse_file(path: str, parse, **kwargs):
+    """``parse`` applied to a file's bytes; a ParseError names the file."""
+    data = Path(path).read_bytes()
+    try:
+        return parse(data, **kwargs)
+    except vocab.ParseError as exc:
+        raise vocab.ParseError(f"{path}, {exc}") from None
+
+
 def _load_vocabulary(path: str) -> vocab.Vocabulary:
-    return vocab.parse_vocabulary_ntriples(Path(path).read_bytes(),
-                                           name=Path(path).stem)
+    return _parse_file(path, vocab.parse_vocabulary_ntriples,
+                       name=Path(path).stem)
+
+
+def _load_gold(path: str) -> vocab.MappingSet:
+    """A gold or mapping file; each triple it ignores is reported on
+    stderr."""
+    gold = _parse_file(path, vocab.load_gold)
+    for warning in gold.warnings:
+        print(f"warning: {path}, {warning}", file=sys.stderr)
+    return gold
 
 
 def _read_roots(path: str, store: wordnet.WordNetStore):
-    names = [line.strip() for line in Path(path).read_text("utf-8").splitlines()
+    names = [line.strip() for line in _read_text(path).splitlines()
              if line.strip() and not line.lstrip().startswith("#")]
     return [store.resolve_synset_name(name) for name in names]
 
@@ -71,12 +98,8 @@ def _write_report(directory: Path, lines: list[str]) -> None:
 
 
 def _load_config_file(path: str) -> dict[str, str]:
-    try:
-        text = Path(path).read_text("utf-8")
-    except UnicodeDecodeError:
-        raise ValueError(f"{path}: not valid UTF-8") from None
     values: dict[str, str] = {}
-    for line_no, raw in enumerate(text.splitlines(), 1):
+    for line_no, raw in enumerate(_read_text(path).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -123,6 +146,8 @@ def _int_list(text: str, flag: str) -> tuple[int, ...]:
                           f"got {text!r}") from None
     if not values:
         raise _UsageError(f"{flag} needs at least one value")
+    if min(values) < 0:
+        raise _UsageError(f"{flag} values must be >= 0, got {text!r}")
     return values
 
 
@@ -142,36 +167,37 @@ _MAP_DEFAULTS = {"min_overlap": 0, "min_freq": 0, "out": "out",
 
 
 def cmd_map(args: argparse.Namespace) -> int:
-    try:
-        args = _merge_config(args, _MAP_DEFAULTS)
-        store = _load_store(args.wordnet)
-        vocabulary = _load_vocabulary(args.vocab)
-        taxonomy = None
-        if args.taxonomy_roots:
-            taxonomy = store.taxonomy_closure(_read_roots(args.taxonomy_roots,
-                                                          store))
-        config = mapper.MapperConfig(ol_min=args.min_overlap,
-                                     f_min=args.min_freq,
-                                     taxonomy=taxonomy,
-                                     use_alt_labels=args.alt_labels)
-        mapping = mapper.map_vocabulary(vocabulary, store, config)
-        out = Path(args.out)
-        _write(out, "mapping.nt", vocab.serialize_mappings_ntriples(mapping))
-        _write(out, "mapping.tsv", vocab.serialize_mappings_tsv(mapping))
-        report = [
-            f"vocabulary: {args.vocab} ({len(vocabulary)} terms)",
-            f"wordnet: {args.wordnet} ({len(store)} synsets)",
-            f"min_overlap: {config.ol_min}",
-            f"min_freq: {config.f_min}",
-            f"taxonomy: {'on (' + str(len(taxonomy)) + ' synsets)' if taxonomy is not None else 'off'}",
-            f"alt_labels: {'on' if config.use_alt_labels else 'off'}",
-            f"mappings: {len(mapping)}",
-        ]
-        report += [f"warning: {w}" for w in vocabulary.warnings]
-        report += [f"warning: {w}" for w in mapping.warnings]
-        _write_report(out, report)
-    except _DATA_ERRORS as exc:
-        return _fail(str(exc))
+    args = _merge_config(args, _MAP_DEFAULTS)
+    for key, flag in (("min_overlap", "--min-overlap"),
+                      ("min_freq", "--min-freq")):
+        if getattr(args, key) < 0:
+            raise _UsageError(f"{flag} must be >= 0, got {getattr(args, key)}")
+    store = _load_store(args.wordnet)
+    vocabulary = _load_vocabulary(args.vocab)
+    taxonomy = None
+    if args.taxonomy_roots:
+        taxonomy = store.taxonomy_closure(_read_roots(args.taxonomy_roots,
+                                                      store))
+    config = mapper.MapperConfig(ol_min=args.min_overlap,
+                                 f_min=args.min_freq,
+                                 taxonomy=taxonomy,
+                                 use_alt_labels=args.alt_labels)
+    mapping = mapper.map_vocabulary(vocabulary, store, config)
+    out = Path(args.out)
+    _write(out, "mapping.nt", vocab.serialize_mappings_ntriples(mapping))
+    _write(out, "mapping.tsv", vocab.serialize_mappings_tsv(mapping))
+    report = [
+        f"vocabulary: {args.vocab} ({len(vocabulary)} terms)",
+        f"wordnet: {args.wordnet} ({len(store)} synsets)",
+        f"min_overlap: {config.ol_min}",
+        f"min_freq: {config.f_min}",
+        f"taxonomy: {'on (' + str(len(taxonomy)) + ' synsets)' if taxonomy is not None else 'off'}",
+        f"alt_labels: {'on' if config.use_alt_labels else 'off'}",
+        f"mappings: {len(mapping)}",
+    ]
+    report += [f"warning: {w}" for w in vocabulary.warnings]
+    report += [f"warning: {w}" for w in mapping.warnings]
+    _write_report(out, report)
     return 0
 
 
@@ -181,73 +207,56 @@ _SWEEP_DEFAULTS = {"workers": 10, "out": "out", "taxonomy_roots": None,
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    try:
-        args = _merge_config(args, _SWEEP_DEFAULTS)
-        grid_kwargs = {}
-        if args.ol_min is not None:
-            grid_kwargs["ol_min_values"] = _int_list(str(args.ol_min),
-                                                     "--ol-min")
-        if args.f_min is not None:
-            grid_kwargs["f_min_values"] = _int_list(str(args.f_min), "--f-min")
-        if args.taxonomy is not None:
-            grid_kwargs["taxonomy_options"] = _taxonomy_options(
-                str(args.taxonomy))
-        grid = ev.SweepGrid(**grid_kwargs)
-        taxonomy_on = any(grid.taxonomy_options)
-        if taxonomy_on and not args.taxonomy_roots:
-            raise _UsageError("the grid includes taxonomy=on; "
-                              "--taxonomy-roots is required")
-        store = _load_store(args.wordnet)
-        vocabulary = _load_vocabulary(args.vocab)
-        gold = vocab.load_gold(Path(args.gold).read_bytes())
-        unknown = _unknown_gold_synsets(gold, store)
-        if unknown:
-            print(f"warning: {len(unknown)} gold synset names are not in the "
-                  f"store, first {unknown[0]}", file=sys.stderr)
-        taxonomy = None
-        if taxonomy_on:
-            taxonomy = store.taxonomy_closure(_read_roots(args.taxonomy_roots,
-                                                          store))
-        rows = ev.run_sweep(vocabulary, store, gold, grid=grid,
-                            taxonomy=taxonomy, workers=args.workers)
-        out = Path(args.out)
-        _write(out, "sweep.tsv", ev.sweep_tsv(rows,
-                                              include_timings=args.timings))
-        _write(out, "summary.tsv", ev.summary_tsv(rows))
-    except _UsageError as exc:
-        return _fail(str(exc), code=2)
-    except _DATA_ERRORS as exc:
-        return _fail(str(exc))
+    args = _merge_config(args, _SWEEP_DEFAULTS)
+    grid_kwargs = {}
+    if args.ol_min is not None:
+        grid_kwargs["ol_min_values"] = _int_list(str(args.ol_min), "--ol-min")
+    if args.f_min is not None:
+        grid_kwargs["f_min_values"] = _int_list(str(args.f_min), "--f-min")
+    if args.taxonomy is not None:
+        grid_kwargs["taxonomy_options"] = _taxonomy_options(str(args.taxonomy))
+    grid = ev.SweepGrid(**grid_kwargs)
+    taxonomy_on = any(grid.taxonomy_options)
+    if taxonomy_on and not args.taxonomy_roots:
+        raise _UsageError("the grid includes taxonomy=on; "
+                          "--taxonomy-roots is required")
+    store = _load_store(args.wordnet)
+    vocabulary = _load_vocabulary(args.vocab)
+    gold = _load_gold(args.gold)
+    unknown = _unknown_gold_synsets(gold, store)
+    if unknown:
+        print(f"warning: {len(unknown)} gold synset names are not in the "
+              f"store, first {unknown[0]}", file=sys.stderr)
+    taxonomy = None
+    if taxonomy_on:
+        taxonomy = store.taxonomy_closure(_read_roots(args.taxonomy_roots,
+                                                      store))
+    rows = ev.run_sweep(vocabulary, store, gold, grid=grid, taxonomy=taxonomy)
+    out = Path(args.out)
+    _write(out, "sweep.tsv", ev.sweep_tsv(rows, include_timings=args.timings))
+    _write(out, "summary.tsv", ev.summary_tsv(rows))
     return 0
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    try:
-        machine = vocab.load_gold(Path(args.mapping).read_bytes())
-        gold = vocab.load_gold(Path(args.gold).read_bytes())
-        result = ev.evaluate(machine, gold)
-    except _DATA_ERRORS as exc:
-        return _fail(str(exc))
+    result = ev.evaluate(_load_gold(args.mapping), _load_gold(args.gold))
     print(f"P={result.precision:.4f} R={result.recall:.4f} "
           f"F={result.f_measure:.4f}")
     return 0
 
 
 def cmd_taxonomy(args: argparse.Namespace) -> int:
-    try:
-        store = _load_store(args.wordnet)
-        closure = store.taxonomy_closure(_read_roots(args.roots, store))
-        names = sorted(store.synset_name(sid) for sid in closure)
-        payload = "".join(f"{name}\n" for name in names)
-        payload += f"# count: {len(names)}\n"
-        if args.out:
-            path = Path(args.out)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(payload, "utf-8")
-        else:
-            sys.stdout.write(payload)
-    except _DATA_ERRORS as exc:
-        return _fail(str(exc))
+    store = _load_store(args.wordnet)
+    closure = store.taxonomy_closure(_read_roots(args.roots, store))
+    names = sorted(store.synset_name(sid) for sid in closure)
+    payload = "".join(f"{name}\n" for name in names)
+    payload += f"# count: {len(names)}\n"
+    if args.out:
+        path = Path(args.out)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(payload, "utf-8")
+    else:
+        sys.stdout.write(payload)
     return 0
 
 
@@ -255,24 +264,20 @@ _BASELINE_DEFAULTS = {"seed": 0, "threshold": 0.9, "out": "out"}
 
 
 def cmd_baseline(args: argparse.Namespace) -> int:
-    try:
-        args = _merge_config(args, _BASELINE_DEFAULTS)
-        store = _load_store(args.wordnet)
-        vocabulary = _load_vocabulary(args.vocab)
-        if args.kind == "random":
-            mapping = mapper.random_baseline_mapping(vocabulary, store,
-                                                     seed=args.seed)
-        else:
-            strategy = "labels" if args.kind == "trigram-labels" \
-                else "definitions"
-            mapping = ev.trigram_baseline_mapping(vocabulary, store,
-                                                  threshold=args.threshold,
-                                                  strategy=strategy)
-        out = Path(args.out)
-        _write(out, "mapping.nt", vocab.serialize_mappings_ntriples(mapping))
-        _write(out, "mapping.tsv", vocab.serialize_mappings_tsv(mapping))
-    except _DATA_ERRORS as exc:
-        return _fail(str(exc))
+    args = _merge_config(args, _BASELINE_DEFAULTS)
+    store = _load_store(args.wordnet)
+    vocabulary = _load_vocabulary(args.vocab)
+    if args.kind == "random":
+        mapping = mapper.random_baseline_mapping(vocabulary, store,
+                                                 seed=args.seed)
+    else:
+        strategy = "labels" if args.kind == "trigram-labels" else "definitions"
+        mapping = ev.trigram_baseline_mapping(vocabulary, store,
+                                              threshold=args.threshold,
+                                              strategy=strategy)
+    out = Path(args.out)
+    _write(out, "mapping.nt", vocab.serialize_mappings_ntriples(mapping))
+    _write(out, "mapping.tsv", vocab.serialize_mappings_tsv(mapping))
     return 0
 
 
@@ -347,7 +352,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _UsageError as exc:
+        return _fail(str(exc), code=2)
+    except _DATA_ERRORS as exc:
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

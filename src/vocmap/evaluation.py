@@ -112,16 +112,14 @@ class SweepRow:
 
 def run_sweep(vocabulary, store: WordNetStore, gold: MappingSet,
               grid: SweepGrid | None = None,
-              taxonomy: frozenset[SynsetId] | None = None,
-              workers: int = 10) -> list[SweepRow]:
+              taxonomy: frozenset[SynsetId] | None = None) -> list[SweepRow]:
     """Evaluate every grid point; one row per point, in grid order.
 
     The salient-taxonomy closure must be precomputed and passed in when the
     grid includes the taxonomy-on option; it is shared across all points.
     One candidate table is built under the loosest filters of the grid, and
-    each point only selects from it, in sequence.  ``workers`` is accepted
-    for compatibility and has no effect.  A row's ``wall_ms`` covers the
-    point's selection and evaluation, not the table build.
+    each point only selects from it, in sequence.  A row's ``wall_ms``
+    covers the point's selection and evaluation, not the table build.
     """
     grid = grid if grid is not None else SweepGrid()
     points = grid.points()

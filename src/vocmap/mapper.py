@@ -91,20 +91,23 @@ def _matching_senses(label: str, store: WordNetStore):
     return matches
 
 
-def _label_forms(term: Term, config: MapperConfig) -> list[str]:
-    """The forms of the preferred label, then (when enabled) of each
-    alternative label, in order and without repeats."""
-    labels = (term.pref_label,) + (term.alt_labels if config.use_alt_labels
-                                   else ())
-    return list(dict.fromkeys(form for label in labels
-                              for form in compound_candidates(label)))
+def _passes(term: Term, store: WordNetStore, stopwords: frozenset[str],
+            use_alt_labels: bool):
+    """The passes of a term as (definition term or None, label, forms).
 
-
-def _definition_exclusions(term: Term, store: WordNetStore) -> set[str]:
-    # the term's own label forms never become definition-derived targets
+    First the label pass: the forms of the preferred label, then (when
+    enabled) of each alternative label, in order and without repeats.  Then
+    one pass per term extracted from the definition, never one of the
+    term's own label forms or lemmas.
+    """
+    labels = (term.pref_label,) + (term.alt_labels if use_alt_labels else ())
+    yield None, term.pref_label, list(dict.fromkeys(
+        form for label in labels for form in compound_candidates(label)))
     exclude = set(compound_candidates(term.pref_label))
     exclude.update(lemmatize_noun(t, store) for t in tokenize(term.pref_label))
-    return exclude
+    for d in extract_definition_terms(term.definition, store, stopwords,
+                                      exclude=exclude):
+        yield d, d, compound_candidates(d)
 
 
 class CandidateTable:
@@ -120,59 +123,53 @@ class CandidateTable:
     def __init__(self, vocabulary, store: WordNetStore, floor: MapperConfig):
         self.store = store
         self.floor = floor
-        self._stopwords = default_stopwords()
         self._gloss_bags: dict[SynsetId, frozenset[str]] = {}
-        self.terms: list[tuple[str, tuple, list[tuple[str, tuple]]]] = []
-        for uri in sorted(vocabulary.terms):
-            term = vocabulary.terms[uri]
-            bag = self._definition_bag(term)
-            # an extracted term is mapped against the definition it came from
-            definition_passes = [
-                (d, self._pass(d, compound_candidates(d), bag))
-                for d in extract_definition_terms(
-                    term.definition, store, self._stopwords,
-                    exclude=_definition_exclusions(term, store))]
-            self.terms.append((uri, self._pass(term.pref_label,
-                                               _label_forms(term, floor), bag),
-                               definition_passes))
+        self.terms: list[tuple[str, tuple]] = [
+            (uri, tuple(self.passes(vocabulary.terms[uri])))
+            for uri in sorted(vocabulary.terms)]
 
-    def _definition_bag(self, term: Term) -> frozenset[str]:
-        return normalize_definition(term.definition or "", (), self.store,
-                                    self._stopwords)
-
-    def _pass(self, pref_label: str, forms: Sequence[str],
-              definition_bag: frozenset[str]) -> tuple:
-        """(form, rows, highest f, highest ol) for each form that has any
-        row, in order.
+    def passes(self, term: Term, label_forms: Sequence[str] | None = None):
+        """Yield (definition term or None, forms) for each pass of a term,
+        the label pass first; ``forms`` holds (form, rows, highest f,
+        highest ol) for each form that has any row, in order.
+        ``label_forms``, when given, replaces the label pass's forms.
 
         ``normalize_definition(text, exclude)`` equals the unexcluded bag
         minus ``exclude``, so the passes of a term share its definition bag
         and each subtracts the lemmas of the label it maps.
         """
         store, floor, gloss_bags = self.store, self.floor, self._gloss_bags
-        term_bag = definition_bag - {lemmatize_noun(t, store)
-                                     for t in tokenize(pref_label)}
-        passes = []
-        for form in forms:
-            rows = []
-            for ws, kind in _matching_senses(form, store):
-                sid = ws.synset
-                if (floor.taxonomy is not None and sid not in floor.taxonomy
-                        or ws.tag_frequency < floor.f_min):
-                    continue
-                # a gloss is normalized only for a sense that can pass
-                if sid not in gloss_bags:
-                    gloss_bags[sid] = normalize_definition(
-                        store.gloss(sid), (), store, self._stopwords)
-                ol = len(term_bag & gloss_bags[sid])
-                if ol >= floor.ol_min:
-                    rows.append(Candidate(synset=sid, word_sense=ws,
-                                          match_kind=kind,
-                                          f=ws.tag_frequency, ol=ol))
-            if rows:
-                passes.append((form, rows, max(c.f for c in rows),
-                               max(c.ol for c in rows)))
-        return tuple(passes)
+        stopwords = default_stopwords()
+        definition_bag = normalize_definition(term.definition or "", (),
+                                              store, stopwords)
+        for d, label, forms in _passes(term, store, stopwords,
+                                       floor.use_alt_labels):
+            if d is None and label_forms is not None:
+                forms = label_forms
+            term_bag = definition_bag - {lemmatize_noun(t, store)
+                                         for t in tokenize(label)}
+            kept = []
+            for form in forms:
+                rows = []
+                for ws, kind in _matching_senses(form, store):
+                    sid = ws.synset
+                    if (floor.taxonomy is not None
+                            and sid not in floor.taxonomy
+                            or ws.tag_frequency < floor.f_min):
+                        continue
+                    # a gloss is normalized only for a sense that can pass
+                    if sid not in gloss_bags:
+                        gloss_bags[sid] = normalize_definition(
+                            store.gloss(sid), (), store, stopwords)
+                    ol = len(term_bag & gloss_bags[sid])
+                    if ol >= floor.ol_min:
+                        rows.append(Candidate(synset=sid, word_sense=ws,
+                                              match_kind=kind,
+                                              f=ws.tag_frequency, ol=ol))
+                if rows:
+                    kept.append((form, rows, max(c.f for c in rows),
+                                 max(c.ol for c in rows)))
+            yield d, tuple(kept)
 
     def select(self, config: MapperConfig) -> MappingSet:
         """The vocabulary's mapping under ``config``: a label-derived
@@ -189,16 +186,13 @@ class CandidateTable:
             else config.taxonomy
         mappings: list[Mapping] = []
         warnings: list[str] = []
-        for uri, label_pass, definition_passes in self.terms:
-            mapping = _pick(uri, label_pass, config, taxonomy, self.store)
-            if mapping is None:
-                warnings.append(f"no label mapping for <{uri}>")
-            else:
-                mappings.append(mapping)
-            for d, forms in definition_passes:
+        for uri, passes in self.terms:
+            for d, forms in passes:
                 mapping = _pick(uri, forms, config, taxonomy, self.store, d)
                 if mapping is not None:
                     mappings.append(mapping)
+                elif d is None:
+                    warnings.append(f"no label mapping for <{uri}>")
         return MappingSet(mappings, warnings=warnings)
 
 
@@ -206,8 +200,7 @@ def find_candidates(term: Term, label: str, store: WordNetStore,
                     config: MapperConfig) -> list[Candidate]:
     """Candidates for one lexical form of a term, after all three filters."""
     table = CandidateTable(Vocabulary(()), store, config)
-    forms = table._pass(term.pref_label, (label,),
-                        table._definition_bag(term))
+    _, forms = next(table.passes(term, label_forms=(label,)))
     return forms[0][1] if forms else []
 
 
@@ -301,8 +294,7 @@ def find_semantic_mapping(term: Term, store: WordNetStore,
     candidate set wins.
     """
     table = CandidateTable(Vocabulary(()), store, config)
-    forms = table._pass(term.pref_label, _label_forms(term, config),
-                        table._definition_bag(term))
+    _, forms = next(table.passes(term))
     return _pick(term.uri, forms, config, None, store)
 
 
@@ -326,14 +318,10 @@ def random_baseline_mapping(vocabulary, store: WordNetStore,
     stopwords = default_stopwords()
     mappings: list[Mapping] = []
     for uri in sorted(vocabulary.terms):
-        term = vocabulary.terms[uri]
         rng = random.Random(f"{seed}:{uri}")
-        passes = [(None, term.pref_label)] + [
-            (d, d) for d in extract_definition_terms(
-                term.definition, store, stopwords,
-                exclude=_definition_exclusions(term, store))]
-        for d, label in passes:
-            for form in compound_candidates(label):
+        for d, _, forms in _passes(vocabulary.terms[uri], store, stopwords,
+                                   use_alt_labels=False):
+            for form in forms:
                 senses = sorted(
                     {ws for ws, _ in _matching_senses(form, store)},
                     key=lambda ws: (ws.synset.offset, ws.lemma,

@@ -56,13 +56,6 @@ class MappingRelation(Enum):
     def predicate(self) -> str:
         return _RELATION_TO_PREDICATE[self]
 
-    @classmethod
-    def from_predicate(cls, iri: str) -> "MappingRelation":
-        try:
-            return _PREDICATE_TO_RELATION[iri]
-        except KeyError:
-            raise ValueError(f"not a SKOS mapping predicate: {iri}") from None
-
 
 _RELATION_TO_PREDICATE = {
     MappingRelation.EXACT: SKOS_EXACT_MATCH,
@@ -300,16 +293,16 @@ def parse_vocabulary_ntriples(data: bytes | str, name: str = "") -> Vocabulary:
     definition: dict[str, dict[str | None, str]] = {}
     alt: dict[str, list[str]] = {}
     links: dict[str, dict[str, list[str]]] = {}
-    order: list[str] = []
+    first_line: dict[str, int] = {}  # subjects in order, with their line
     warnings: list[str] = []
 
-    def _subject(s: str) -> None:
+    def _subject(s: str, line_no: int) -> None:
         if s not in pref:
             pref[s] = {}
             definition[s] = {}
             alt[s] = []
             links[s] = {"broader": [], "narrower": [], "related": []}
-            order.append(s)
+            first_line[s] = line_no
 
     for line_no, subject, predicate, obj in _iter_triples(data):
         if predicate in (SKOS_PREF_LABEL, SKOS_ALT_LABEL, SKOS_DEFINITION):
@@ -318,7 +311,7 @@ def parse_vocabulary_ntriples(data: bytes | str, name: str = "") -> Vocabulary:
                     f"line {line_no}: non-literal object for {predicate}; ignored")
                 continue
             _, text, lang = obj
-            _subject(subject)
+            _subject(subject, line_no)
             if predicate == SKOS_PREF_LABEL:
                 if lang in pref[subject]:
                     warnings.append(
@@ -336,28 +329,31 @@ def parse_vocabulary_ntriples(data: bytes | str, name: str = "") -> Vocabulary:
                 warnings.append(
                     f"line {line_no}: non-IRI object for {predicate}; ignored")
                 continue
-            _subject(subject)
+            _subject(subject, line_no)
             key = {SKOS_BROADER: "broader", SKOS_NARROWER: "narrower",
                    SKOS_RELATED: "related"}[predicate]
             links[subject][key].append(obj[1])
         # anything else: not a SKOS vocabulary predicate, skip silently
 
     terms: list[Term] = []
-    for subject in order:
+    for subject, line_no in first_line.items():
         label = _pick_by_language(pref[subject])
         if label is None or not label.strip():
             if definition[subject] or alt[subject]:
                 warnings.append(f"term <{subject}> skipped: no prefLabel")
             continue
-        terms.append(Term(
-            uri=subject,
-            pref_label=label,
-            alt_labels=tuple(alt[subject]),
-            definition=_pick_by_language(definition[subject]),
-            broader=tuple(links[subject]["broader"]),
-            narrower=tuple(links[subject]["narrower"]),
-            related=tuple(links[subject]["related"]),
-        ))
+        try:
+            terms.append(Term(
+                uri=subject,
+                pref_label=label,
+                alt_labels=tuple(alt[subject]),
+                definition=_pick_by_language(definition[subject]),
+                broader=tuple(links[subject]["broader"]),
+                narrower=tuple(links[subject]["narrower"]),
+                related=tuple(links[subject]["related"]),
+            ))
+        except ValueError as exc:  # a relative subject IRI
+            raise ParseError(str(exc), line_no) from None
     return Vocabulary(terms, name=name, warnings=warnings)
 
 

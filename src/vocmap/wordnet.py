@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from vocmap.vocab import WN20_SYNSET_NS
-
 HYPONYM_OF = "hyponymOf"
 PART_MERONYM_OF = "partMeronymOf"
 
@@ -172,9 +170,6 @@ class WordNetStore:
         first = self.synsets[sid].senses[0]
         return f"{first.lemma}-noun-{first.sense_number}"
 
-    def synset_uri(self, sid: SynsetId) -> str:
-        return WN20_SYNSET_NS + self.synset_name(sid)
-
     def resolve_synset_name(self, name: str) -> SynsetId:
         """Resolve a ``<lemma>-noun-<n>`` name to a synset id."""
         m = _SYNSET_NAME_RE.match(name)
@@ -228,7 +223,8 @@ def load_fixture(data: bytes | str) -> WordNetStore:
     """
     try:
         doc = json.loads(data)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # a decode error, an integer too long to convert, or nesting too deep
         raise LoadError(f"invalid JSON: {exc}", source="fixture") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("synsets"), list):
         raise LoadError("document must be an object with a 'synsets' list",
@@ -274,9 +270,13 @@ def load_fixture(data: bytes | str) -> WordNetStore:
         gloss = entry.get("gloss", "")
         if not isinstance(gloss, str):
             raise LoadError(f"{where}.gloss must be a string", source="fixture")
+        pairs = entry.get("relations", [])
+        if not isinstance(pairs, list):
+            raise LoadError(f"{where}.relations must be a list",
+                            source="fixture")
         relations = []
-        for j, rel in enumerate(entry.get("relations", [])):
-            if (not isinstance(rel, (list, tuple)) or len(rel) != 2
+        for j, rel in enumerate(pairs):
+            if (not isinstance(rel, list) or len(rel) != 2
                     or not isinstance(rel[0], str)):
                 raise LoadError(
                     f"{where}.relations[{j}] must be a [kind, offset] pair",

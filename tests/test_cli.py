@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, outputs, determinism."""
 
+from pathlib import Path
+
 import pytest
 
 from oracle import oracle_map_vocabulary
@@ -7,6 +9,7 @@ from vocmap.cli import main
 from vocmap.vocab import MappingRelation, load_gold
 
 BAY = "http://example.org/vocab/term/k:natural/v:bay"
+SKOS = "http://www.w3.org/2004/02/skos/core#"
 
 
 @pytest.fixture
@@ -134,7 +137,7 @@ class TestCmdSweep:
         gold = tmp_path / "gold.nt"
         related = "<http://www.w3.org/2004/02/skos/core#relatedMatch>"
         synset = "<http://www.w3.org/2006/03/wn/wn20/instances/synset-"
-        gold.write_text(open(paths["gold"]).read() + "".join(
+        gold.write_text(Path(paths["gold"]).read_text() + "".join(
             f"<{BAY}> {related} {synset}{name}> .\n"
             for name in ("unicorn-noun-1", "watercourse-noun-1",
                          "bay-noun-9")))
@@ -151,6 +154,22 @@ class TestCmdSweep:
             "first bay-noun-9\n")
         assert sorted(p.name for p in (tmp_path / "unknown").iterdir()) \
             == ["summary.tsv", "sweep.tsv"]
+
+    def test_gold_warnings_go_to_stderr(self, paths, tmp_path, capsys):
+        gold = tmp_path / "gold.nt"
+        gold.write_text(Path(paths["gold"]).read_text() + _IGNORED_TRIPLES)
+        args = ["sweep", "--vocab", paths["vocab"],
+                "--wordnet", paths["wordnet"], "--taxonomy", "off",
+                "--ol-min", "0,1", "--f-min", "0,1"]
+        assert main(args + ["--gold", paths["gold"],
+                            "--out", str(tmp_path / "clean")]) == 0
+        capsys.readouterr()
+        assert main(args + ["--gold", str(gold),
+                            "--out", str(tmp_path / "warned")]) == 0
+        assert capsys.readouterr().err == _ignored_warnings(gold)
+        for name in ("sweep.tsv", "summary.tsv"):
+            assert (tmp_path / "clean" / name).read_bytes() \
+                == (tmp_path / "warned" / name).read_bytes()
 
     def test_summary_written(self, paths, tmp_path):
         out = tmp_path / "sum"
@@ -181,7 +200,7 @@ class TestCmdEval:
             == "P=0.0000 R=0.0000 F=0.0000"
 
     def test_three_of_four_correct(self, paths, tmp_path, capsys):
-        gold_lines = (open(paths["gold"]).read()).splitlines(keepends=True)
+        gold_lines = Path(paths["gold"]).read_text().splitlines(keepends=True)
         mapping = tmp_path / "m.nt"
         wrong = ("<http://example.org/vocab/term/k:landuse/v:field> "
                  "<http://www.w3.org/2004/02/skos/core#relatedMatch> "
@@ -193,6 +212,17 @@ class TestCmdEval:
         # P = 3/4, R = 3/7, F = 1.25*P*R / (0.25*P + R)
         assert capsys.readouterr().out.strip() \
             == "P=0.7500 R=0.4286 F=0.6522"
+
+
+    def test_warnings_of_both_files_go_to_stderr(self, paths, tmp_path,
+                                                 capsys):
+        mapping = tmp_path / "m.nt"
+        mapping.write_text(Path(paths["gold"]).read_text() + _IGNORED_TRIPLES)
+        assert main(["eval", "--mapping", str(mapping),
+                     "--gold", str(mapping)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "P=1.0000 R=1.0000 F=1.0000\n"
+        assert captured.err == 2 * _ignored_warnings(mapping)
 
 
 class TestCmdTaxonomy:
@@ -277,18 +307,35 @@ class TestCmdBaseline:
         assert baseline_f < tuned_f
 
 
+_IGNORED_TRIPLES = (
+    f"<{BAY}> <{SKOS}broader> <http://example.org/vocab/term/k:natural> .\n"
+    f"<{BAY}> <{SKOS}relatedMatch> <http://example.org/elsewhere> .\n")
+
+
+def _ignored_warnings(path):
+    """The warnings for _IGNORED_TRIPLES, the last two lines of ``path``."""
+    last = path.read_text().count("\n")
+    return (f"warning: {path}, line {last - 1}: predicate {SKOS}broader "
+            "is not a mapping property; triple ignored\n"
+            f"warning: {path}, line {last}: object is not a "
+            "WordNet 2.0 synset IRI; triple ignored\n")
+
+
 def _command_args(command, paths, out):
-    args = {
+    """A command line that succeeds; a flag added after it overrides."""
+    return {
         "map": ["map", "--vocab", paths["vocab"],
-                "--wordnet", paths["wordnet"]],
+                "--wordnet", paths["wordnet"], "--out", str(out)],
         "sweep": ["sweep", "--vocab", paths["vocab"],
                   "--wordnet", paths["wordnet"], "--gold", paths["gold"],
-                  "--taxonomy-roots", paths["roots"],
-                  "--ol-min", "1", "--f-min", "1"],
+                  "--taxonomy-roots", paths["roots"], "--out", str(out)],
         "baseline": ["baseline", "--kind", "random", "--vocab",
-                     paths["vocab"], "--wordnet", paths["wordnet"]],
+                     paths["vocab"], "--wordnet", paths["wordnet"],
+                     "--out", str(out)],
+        "eval": ["eval", "--mapping", paths["gold"], "--gold", paths["gold"]],
+        "taxonomy": ["taxonomy", "--wordnet", paths["wordnet"],
+                     "--roots", paths["roots"], "--out", str(out)],
     }[command]
-    return args + ["--out", str(out)]
 
 
 def _single_error_line(err):
@@ -353,3 +400,88 @@ class TestFailurePaths:
                     + ["--config", str(cfg)])
         assert code == 2
         assert "--taxonomy" in _single_error_line(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command, flag", [
+        ("map", "--vocab"),
+        ("sweep", "--vocab"),
+        ("sweep", "--gold"),
+        ("baseline", "--vocab"),
+        ("eval", "--mapping"),
+        ("eval", "--gold"),
+    ])
+    def test_malformed_ntriples_error_names_the_file(self, paths, tmp_path,
+                                                     capsys, command, flag):
+        bad = tmp_path / "bad.nt"
+        bad.write_text(f'<{BAY}> <{SKOS}prefLabel> "bay" .\nbroken\n')
+        code = main(_command_args(command, paths, tmp_path / "o")
+                    + [flag, str(bad)])
+        assert code == 1
+        assert _single_error_line(capsys.readouterr().err) \
+            == f"error: {bad}, line 2: malformed triple"
+        assert not (tmp_path / "o").exists()
+
+    def test_relative_term_iri_names_file_and_line(self, paths, tmp_path,
+                                                   capsys):
+        bad = tmp_path / "relative.nt"
+        bad.write_text(f'<{BAY}> <{SKOS}prefLabel> "bay" .\n'
+                       f'<bay> <{SKOS}prefLabel> "bay" .\n')
+        code = main(_command_args("map", paths, tmp_path / "o")
+                    + ["--vocab", str(bad)])
+        assert code == 1
+        assert _single_error_line(capsys.readouterr().err).startswith(
+            f"error: {bad}, line 2: term id is not an absolute IRI")
+
+    @pytest.mark.parametrize("command, flag", [
+        ("map", "--taxonomy-roots"),
+        ("sweep", "--taxonomy-roots"),
+        ("taxonomy", "--roots"),
+    ])
+    def test_roots_with_invalid_utf8_name_file_and_line(
+            self, paths, tmp_path, capsys, command, flag):
+        roots = tmp_path / "roots.txt"
+        roots.write_bytes(b"bay-noun-1\nriver\xff-noun-1\n")
+        code = main(_command_args(command, paths, tmp_path / "o")
+                    + [flag, str(roots)])
+        assert code == 1
+        assert _single_error_line(capsys.readouterr().err) \
+            == f"error: {roots}, line 2: not valid UTF-8"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("content, message", [
+        ('{"synsets": [{"offset": 1, "lemmas": [{"lemma": "bay"}], '
+         '"relations": 5}]}', "synsets[0].relations must be a list"),
+        ("[" * 100_000, "invalid JSON"),
+    ], ids=["relations-not-a-list", "nested-too-deep"])
+    def test_malformed_fixture_is_one_error_line(self, paths, tmp_path,
+                                                 capsys, content, message):
+        fixture = tmp_path / "wordnet.json"
+        fixture.write_text(content)
+        code = main(_command_args("map", paths, tmp_path / "o")
+                    + ["--wordnet", str(fixture)])
+        assert code == 1
+        assert message in _single_error_line(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command, flags, config, flag", [
+        ("map", ["--min-overlap=-1"], None, "--min-overlap"),
+        ("map", ["--min-freq=-1"], None, "--min-freq"),
+        ("map", [], "min_overlap = -2\n", "--min-overlap"),
+        ("map", [], "min-freq = -2\n", "--min-freq"),
+        ("sweep", ["--ol-min=-1,2"], None, "--ol-min"),
+        ("sweep", ["--f-min=0,-1"], None, "--f-min"),
+        ("sweep", [], "ol_min = 2,-3\n", "--ol-min"),
+        ("sweep", [], "f_min = -1\n", "--f-min"),
+    ])
+    def test_negative_threshold_is_usage_error_before_loading(
+            self, paths, tmp_path, capsys, command, flags, config, flag):
+        # an absent store: the check must come before any load
+        args = _command_args(command, paths, tmp_path / "o") + flags + [
+            "--wordnet", str(tmp_path / "absent.json")]
+        if config is not None:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(config)
+            args += ["--config", str(cfg)]
+        code = main(args)
+        assert code == 2
+        line = _single_error_line(capsys.readouterr().err)
+        assert flag in line and ">= 0" in line
+        assert not (tmp_path / "o").exists()

@@ -117,18 +117,8 @@ class TestRunSweep:
     def test_full_grid_row_count(self, mini_store, mini_vocab, mini_gold,
                                  mini_taxonomy):
         rows = run_sweep(mini_vocab, mini_store, mini_gold,
-                         taxonomy=mini_taxonomy, workers=4)
+                         taxonomy=mini_taxonomy)
         assert len(rows) == 396
-
-    def test_worker_count_does_not_change_results(self, mini_store, mini_vocab,
-                                                  mini_gold, mini_taxonomy):
-        grid = SweepGrid(ol_min_values=(0, 1, 2), f_min_values=(0, 1))
-        serial = run_sweep(mini_vocab, mini_store, mini_gold, grid=grid,
-                           taxonomy=mini_taxonomy, workers=1)
-        threaded = run_sweep(mini_vocab, mini_store, mini_gold, grid=grid,
-                             taxonomy=mini_taxonomy, workers=10)
-        assert [(r.config, r.result, r.n_mappings) for r in serial] \
-            == [(r.config, r.result, r.n_mappings) for r in threaded]
 
     def test_rows_equal_per_point_mapping_on_full_grid(
             self, mini_store, mini_vocab, mini_gold, mini_taxonomy):

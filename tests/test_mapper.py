@@ -333,9 +333,8 @@ class TestCandidateTable:
     def test_floor_table_builds_fewer_rows(self, mini_store, mini_vocab,
                                            mini_taxonomy):
         def _rows(table):
-            return sum(len(rows) for _, label, definitions in table.terms
-                       for forms in [label] + [f for _, f in definitions]
-                       for _, rows, _, _ in forms)
+            return sum(len(rows) for _, passes in table.terms
+                       for _, forms in passes for _, rows, _, _ in forms)
 
         floored = CandidateTable(mini_vocab, mini_store,
                                  self._config(self.FLOOR, mini_taxonomy))

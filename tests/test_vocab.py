@@ -1,5 +1,7 @@
 """Vocabulary parsing and mapping serialization."""
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -58,7 +60,9 @@ class TestMappingInvariants:
 
     def test_relation_predicate_roundtrip(self):
         for relation in MappingRelation:
-            assert MappingRelation.from_predicate(relation.predicate) is relation
+            mapping = Mapping(term=BAY, relation=relation, synset="bay-noun-1")
+            payload = serialize_mappings_ntriples(MappingSet([mapping]))
+            assert [m.relation for m in load_gold(payload)] == [relation]
 
     def test_duplicate_triples_collapse(self):
         a = Mapping(term=BAY, relation=MappingRelation.CLOSE,
@@ -144,6 +148,14 @@ class TestParseVocabulary:
     def test_malformed_escape_reports_line_number(self, body, message):
         data = f'# comment\n<{BAY}> <{SKOS}prefLabel> "{body}" .\n'
         with pytest.raises(ParseError, match=message) as err:
+            parse_vocabulary_ntriples(data)
+        assert err.value.line_no == 2
+
+    def test_relative_subject_reports_its_first_line(self):
+        data = (f'<{BAY}> <{SKOS}prefLabel> "bay" .\n'
+                f'<bay> <{SKOS}definition> "A body of water." .\n'
+                f'<bay> <{SKOS}prefLabel> "bay" .\n')
+        with pytest.raises(ParseError, match="not an absolute IRI") as err:
             parse_vocabulary_ntriples(data)
         assert err.value.line_no == 2
 
@@ -265,3 +277,29 @@ class TestSerializationProperties:
     def test_roundtrip_up_to_scores(self, mappings):
         mset = MappingSet(mappings)
         assert load_gold(serialize_mappings_ntriples(mset)).triples == mset.triples
+
+
+_GOLD = (Path(__file__).parent / "fixtures" / "gold_mini.nt").read_bytes()
+
+
+class TestLoadGoldContract:
+    """On any input ``load_gold`` returns a mapping set or raises
+    ``ParseError``."""
+
+    @given(st.binary())
+    def test_any_bytes(self, data):
+        _mapping_set_or_parse_error(data)
+
+    @given(st.tuples(st.integers(0, len(_GOLD)), st.integers(0, 16),
+                     st.binary(max_size=16)))
+    def test_spliced_gold_file(self, splice):
+        at, length, replacement = splice
+        _mapping_set_or_parse_error(_GOLD[:at] + replacement
+                                    + _GOLD[at + length:])
+
+
+def _mapping_set_or_parse_error(data):
+    try:
+        assert isinstance(load_gold(data), MappingSet)
+    except ParseError:
+        pass

@@ -5,9 +5,13 @@ import gc
 import json
 import random
 from collections import deque
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from vocmap.vocab import WN20_SYNSET_NS
 from vocmap.wordnet import (
     HYPONYM_OF,
     PART_MERONYM_OF,
@@ -92,6 +96,21 @@ class TestFixtureLoader:
     def test_invalid_utf8_is_a_load_error(self):
         with pytest.raises(LoadError, match="invalid JSON"):
             load_fixture(b'{"synsets": [], "exceptions": {"\xff": "x"}}')
+
+    @pytest.mark.parametrize("relations", [5, None, True, "", {}])
+    def test_relations_must_be_a_list(self, relations):
+        entry = dict(_simple_synset(1, "bay"), relations=relations)
+        with pytest.raises(LoadError, match=r"synsets\[0\]\.relations must "
+                                            "be a list"):
+            load_fixture(_fixture_bytes([entry]))
+
+    def test_deep_nesting_is_a_load_error(self):
+        with pytest.raises(LoadError, match="invalid JSON"):
+            load_fixture(b"[" * 100_000)
+
+    def test_overlong_integer_is_a_load_error(self):
+        with pytest.raises(LoadError, match="invalid JSON"):
+            load_fixture(b'{"synsets": [], "x": ' + b"1" * 5000 + b"}")
 
 
 class TestWndbLoader:
@@ -278,17 +297,17 @@ class TestClosureAgainstReachabilityOracle:
 class TestSynsetNaming:
     def test_bay_uri(self, mini_store):
         sid = mini_store.resolve_synset_name("bay-noun-1")
-        assert mini_store.synset_uri(sid) == (
+        assert WN20_SYNSET_NS + mini_store.synset_name(sid) == (
             "http://www.w3.org/2006/03/wn/wn20/instances/synset-bay-noun-1")
 
     def test_river_uri(self, mini_store):
         sid = mini_store.resolve_synset_name("river-noun-1")
-        assert mini_store.synset_uri(sid).endswith("synset-river-noun-1")
+        assert mini_store.synset_name(sid) == "river-noun-1"
 
     def test_collocation_first_lemma(self):
         store = load_fixture(_fixture_bytes(
             [_simple_synset(7, "talus_slope")]))
-        assert "talus_slope-noun-1" in store.synset_uri(_sid(7))
+        assert store.synset_name(_sid(7)) == "talus_slope-noun-1"
 
     def test_first_lemma_names_multi_word_synset(self, mini_store):
         sid = mini_store.resolve_synset_name("watercourse-noun-1")
@@ -406,3 +425,75 @@ class TestStoreValidation:
                           tag_frequency=0)
         with pytest.raises(LoadError, match="noun"):
             WordNetStore([Synset(id=sid, senses=(sense,), gloss="")])
+
+
+def _spliced(original: bytes):
+    """``original`` with a random run of its bytes replaced by random
+    bytes."""
+    return st.tuples(st.integers(0, len(original)), st.integers(0, 16),
+                     st.binary(max_size=16)).map(
+        lambda t: original[:t[0]] + t[2] + original[t[0] + t[1]:])
+
+
+_WNDB_FILES = ("index.noun", "data.noun", "cntlist.rev", "noun.exc")
+_WNDB = {name: (Path(__file__).parent / "fixtures" / "wndb" / name)
+         .read_bytes() for name in _WNDB_FILES}
+_FIXTURE = (Path(__file__).parent / "fixtures" / "wordnet_mini.json") \
+    .read_bytes()
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=8)
+
+# paths into the first synset entry of _ENTRIES, each replaced in turn
+_ENTRY_FIELDS = (("offset",), ("lemmas",), ("gloss",), ("relations",),
+                 ("lemmas", 0), ("lemmas", 0, "lemma"),
+                 ("lemmas", 0, "sense_number"), ("lemmas", 0, "frequency"),
+                 ("relations", 0), ("relations", 0, 0), ("relations", 0, 1))
+_ENTRIES = [_simple_synset(1, "bay", frequency=3, gloss="a body of water",
+                           relations=[(HYPONYM_OF, 2)]),
+            _simple_synset(2, "water")]
+
+
+class TestLoaderContract:
+    """On any input the loaders return a store or raise ``LoadError``."""
+
+    @given(st.binary())
+    def test_fixture_from_any_bytes(self, data):
+        _store_or_load_error(load_fixture, data)
+
+    @given(_spliced(_FIXTURE))
+    def test_fixture_from_spliced_bytes(self, data):
+        _store_or_load_error(load_fixture, data)
+
+    @given(st.sampled_from(_WNDB_FILES), st.binary())
+    def test_wndb_with_any_bytes_in_one_file(self, name, data):
+        _store_or_load_error(load_wndb, **_wndb_args(name, data))
+
+    @given(st.sampled_from(_WNDB_FILES), st.data())
+    def test_wndb_with_one_file_spliced(self, name, data):
+        spliced = data.draw(_spliced(_WNDB[name]))
+        _store_or_load_error(load_wndb, **_wndb_args(name, spliced))
+
+    @given(st.sampled_from(_ENTRY_FIELDS), _json_values)
+    def test_any_json_value_in_any_entry_field(self, path, value):
+        entries = json.loads(json.dumps(_ENTRIES))
+        holder = entries[0]
+        for key in path[:-1]:
+            holder = holder[key]
+        holder[path[-1]] = value
+        _store_or_load_error(load_fixture, _fixture_bytes(entries))
+
+
+def _wndb_args(name, data):
+    files = dict(_WNDB, **{name: data})
+    return {name.replace(".", "_"): files[name] for name in _WNDB_FILES}
+
+
+def _store_or_load_error(load, *args, **kwargs):
+    try:
+        assert isinstance(load(*args, **kwargs), WordNetStore)
+    except LoadError:
+        pass
