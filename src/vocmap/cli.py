@@ -98,6 +98,8 @@ def _write_report(directory: Path, lines: list[str]) -> None:
 
 
 def _load_config_file(path: str) -> dict[str, str]:
+    """A config file's values.  A key that no command knows is an error;
+    any other key is accepted, so that one file can serve every command."""
     values: dict[str, str] = {}
     for line_no, raw in enumerate(_read_text(path).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -106,7 +108,11 @@ def _load_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"{path}, line {line_no}: expected 'key = value'")
         key, _, value = line.partition("=")
-        values[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key not in {**_MAP_DEFAULTS, **_SWEEP_DEFAULTS,
+                       **_BASELINE_DEFAULTS}:
+            raise ValueError(f"{path}, line {line_no}: unknown key {key!r}")
+        values[key] = value.strip()
     return values
 
 
@@ -223,6 +229,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     store = _load_store(args.wordnet)
     vocabulary = _load_vocabulary(args.vocab)
     gold = _load_gold(args.gold)
+    if gold.triples and not {m.term for m in gold} & vocabulary.terms.keys():
+        print(f"warning: {args.gold} shares no terms with {args.vocab}",
+              file=sys.stderr)
     unknown = _unknown_gold_synsets(gold, store)
     if unknown:
         print(f"warning: {len(unknown)} gold synset names are not in the "

@@ -9,7 +9,6 @@ selects from it once per grid point, in sequence.
 
 from __future__ import annotations
 
-import warnings as _warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -126,9 +125,6 @@ def run_sweep(vocabulary, store: WordNetStore, gold: MappingSet,
     if taxonomy is None and any(on for on, _, _ in points):
         raise ValueError(
             "grid includes taxonomy=on but no taxonomy closure was provided")
-    if gold.triples and not ({t for t, _, _ in gold.triples}
-                             & set(vocabulary.terms)):
-        _warnings.warn("gold standard shares no terms with the vocabulary")
     if not points:
         return []
     floor = MapperConfig(

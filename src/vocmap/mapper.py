@@ -181,14 +181,11 @@ class CandidateTable:
                 or config.use_alt_labels != floor.use_alt_labels
                 or floor.taxonomy not in (None, config.taxonomy)):
             raise ValueError("config is looser than the table's floor")
-        # the rows already lie inside the floor's taxonomy
-        taxonomy = None if config.taxonomy is floor.taxonomy \
-            else config.taxonomy
         mappings: list[Mapping] = []
         warnings: list[str] = []
         for uri, passes in self.terms:
             for d, forms in passes:
-                mapping = _pick(uri, forms, config, taxonomy, self.store, d)
+                mapping = _pick(uri, forms, config, self.store, d)
                 if mapping is not None:
                     mappings.append(mapping)
                 elif d is None:
@@ -229,20 +226,27 @@ def salience(candidate: Candidate, candidates: Sequence[Candidate]) -> float:
     return _salience(len(candidates), rank_f, rank_ol)
 
 
+def _select(candidates: Sequence[Candidate]) -> tuple[Candidate, float]:
+    """The candidate with maximum salience, and that salience, from one
+    ranking by sorting."""
+    if not candidates:
+        raise ValueError("cannot select from an empty candidate set")
+    n = len(candidates)
+    ranked = zip(candidates, _desc_ranks([c.f for c in candidates]),
+                 _desc_ranks([c.ol for c in candidates]))
+    best, rank_f, rank_ol = min(ranked, key=lambda r: (
+        -_salience(n, r[1], r[2]), -r[0].f, r[0].synset.offset,
+        r[0].word_sense.lemma, r[0].word_sense.sense_number))
+    return best, _salience(n, rank_f, rank_ol)
+
+
 def select_best(candidates: Sequence[Candidate]) -> Candidate:
     """The candidate with maximum salience.
 
     Ties break deterministically: higher frequency, then lower synset
     offset, then lemma and sense number.
     """
-    if not candidates:
-        raise ValueError("cannot select from an empty candidate set")
-    n = len(candidates)
-    ranked = zip(candidates, _desc_ranks([c.f for c in candidates]),
-                 _desc_ranks([c.ol for c in candidates]))
-    return min(ranked, key=lambda r: (
-        -_salience(n, r[1], r[2]), -r[0].f, r[0].synset.offset,
-        r[0].word_sense.lemma, r[0].word_sense.sense_number))[0]
+    return _select(candidates)[0]
 
 
 def assign_relation(best: Candidate,
@@ -257,8 +261,7 @@ def assign_relation(best: Candidate,
     return MappingRelation.RELATED
 
 
-def _pick(uri: str, forms: tuple, config: MapperConfig,
-          taxonomy: frozenset[SynsetId] | None, store: WordNetStore,
+def _pick(uri: str, forms: tuple, config: MapperConfig, store: WordNetStore,
           definition_term: str | None = None) -> Mapping | None:
     """The mapping of one pass: the best of the first form with any row
     left after the filters, or None.  A pass for a term extracted from the
@@ -268,15 +271,16 @@ def _pick(uri: str, forms: tuple, config: MapperConfig,
             continue  # no row of this form passes
         kept = [c for c in rows if c.f >= config.f_min
                 and c.ol >= config.ol_min
-                and (taxonomy is None or c.synset in taxonomy)]
+                and (config.taxonomy is None
+                     or c.synset in config.taxonomy)]
         if not kept:
             continue
-        best = select_best(kept)
+        best, score = _select(kept)
         label_pass = definition_term is None
         return Mapping(
             term=uri, synset=store.synset_name(best.synset),
             relation=assign_relation(best, kept) if label_pass
-            else MappingRelation.RELATED, score=salience(best, kept),
+            else MappingRelation.RELATED, score=score,
             provenance=Provenance.LABEL if label_pass
             else Provenance.DEFINITION,
             source_word=form if label_pass else definition_term)
@@ -295,7 +299,7 @@ def find_semantic_mapping(term: Term, store: WordNetStore,
     """
     table = CandidateTable(Vocabulary(()), store, config)
     _, forms = next(table.passes(term))
-    return _pick(term.uri, forms, config, None, store)
+    return _pick(term.uri, forms, config, store)
 
 
 def map_vocabulary(vocabulary, store: WordNetStore,

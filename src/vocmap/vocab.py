@@ -394,7 +394,8 @@ def load_gold(data: bytes | str) -> MappingSet:
 
     Triples whose predicate is not one of the three SKOS mapping properties,
     or whose object is not a WordNet 2.0 synset IRI, are ignored with a
-    warning.  Scores are absent from the format and default to 1.0.
+    warning; a mapping triple whose subject is a relative IRI is a
+    ``ParseError``.  Scores are absent from the format and default to 1.0.
     """
     mappings: list[Mapping] = []
     warnings: list[str] = []
@@ -404,6 +405,9 @@ def load_gold(data: bytes | str) -> MappingSet:
                 f"line {line_no}: predicate {predicate} is not a mapping "
                 "property; triple ignored")
             continue
+        if not _ABSOLUTE_IRI_RE.match(subject):
+            raise ParseError(f"term id is not an absolute IRI: {subject!r}",
+                             line_no)
         if obj[0] != "iri" or not obj[1].startswith(WN20_SYNSET_NS):
             warnings.append(
                 f"line {line_no}: object is not a WordNet 2.0 synset IRI; "

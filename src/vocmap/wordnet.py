@@ -88,7 +88,7 @@ class WordNetStore:
 
     The lemma index is exactly the inverse of the synsets' sense lists:
     every sense is reachable from its lemma and the index holds nothing
-    else.  All queries are read-only and safe to share across threads.
+    else.  All queries are read-only.
     """
 
     def __init__(self, synsets: Iterable[Synset],

@@ -6,7 +6,7 @@ import pytest
 
 from oracle import oracle_map_vocabulary
 from vocmap.cli import main
-from vocmap.vocab import MappingRelation, load_gold
+from vocmap.vocab import WN20_SYNSET_NS, MappingRelation, load_gold
 
 BAY = "http://example.org/vocab/term/k:natural/v:bay"
 SKOS = "http://www.w3.org/2004/02/skos/core#"
@@ -92,6 +92,17 @@ class TestCmdMap:
                      "--out", str(out)]) == 0
         assert f"alt_labels: {shown}" in (out / "run-report.txt").read_text()
 
+    def test_config_keys_of_other_commands_are_accepted(self, paths,
+                                                         tmp_path):
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text("min_overlap = 2\nworkers = 4\nf-min = 1,2\n"
+                       "seed = 7\nthreshold = 0.5\n")
+        out = tmp_path / "o"
+        assert main(["map", "--vocab", paths["vocab"],
+                     "--wordnet", paths["wordnet"], "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        assert "min_overlap: 2" in (out / "run-report.txt").read_text()
+
 
 class TestCmdSweep:
     def test_restricted_grid_row_count(self, paths, tmp_path):
@@ -154,6 +165,19 @@ class TestCmdSweep:
             "first bay-noun-9\n")
         assert sorted(p.name for p in (tmp_path / "unknown").iterdir()) \
             == ["summary.tsv", "sweep.tsv"]
+
+    def test_disjoint_gold_warns_but_proceeds(self, paths, tmp_path, capsys):
+        gold = tmp_path / "foreign.nt"
+        gold.write_text(f"<http://example.org/x> <{SKOS}closeMatch> "
+                        f"<{WN20_SYNSET_NS}bay-noun-1> .\n")
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--vocab", paths["vocab"],
+                     "--wordnet", paths["wordnet"], "--gold", str(gold),
+                     "--taxonomy", "off", "--ol-min", "0", "--f-min", "0",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == (
+            f"warning: {gold} shares no terms with {paths['vocab']}\n")
+        assert len((out / "sweep.tsv").read_text().splitlines()) == 2
 
     def test_gold_warnings_go_to_stderr(self, paths, tmp_path, capsys):
         gold = tmp_path / "gold.nt"
@@ -355,6 +379,9 @@ class TestFailurePaths:
         ("baseline", "seed = 4 2\n", "seed"),
         ("map", "alt_labels = maybe\n", "alt_labels"),
         ("sweep", "timings = 2\n", "timings"),
+        ("map", "min_overlp = 3\n", "absent.cfg, line 1: unknown key "
+                                      "'min_overlp'"),
+        ("baseline", "seed = 1\nx = 1\n", "absent.cfg, line 2: unknown key"),
         ("map", "min_overlap 3\n", "absent.cfg, line 1"),
         ("sweep", "out = o\nworkers\n", "absent.cfg, line 2"),
         ("baseline", b"seed = \xff\n", "absent.cfg"),
@@ -430,6 +457,24 @@ class TestFailurePaths:
         assert code == 1
         assert _single_error_line(capsys.readouterr().err).startswith(
             f"error: {bad}, line 2: term id is not an absolute IRI")
+
+    @pytest.mark.parametrize("command, flag", [
+        ("eval", "--mapping"),
+        ("eval", "--gold"),
+        ("sweep", "--gold"),
+    ])
+    def test_relative_mapping_subject_names_file_and_line(
+            self, paths, tmp_path, capsys, command, flag):
+        bad = tmp_path / "relative.nt"
+        bad.write_text(
+            f"<{BAY}> <{SKOS}closeMatch> <{WN20_SYNSET_NS}bay-noun-1> .\n"
+            f"<foo> <{SKOS}closeMatch> <{WN20_SYNSET_NS}bay-noun-1> .\n")
+        code = main(_command_args(command, paths, tmp_path / "o")
+                    + [flag, str(bad)])
+        assert code == 1
+        assert _single_error_line(capsys.readouterr().err) == (
+            f"error: {bad}, line 2: term id is not an absolute IRI: 'foo'")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command, flag", [
         ("map", "--taxonomy-roots"),

@@ -140,14 +140,6 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="taxonomy"):
             run_sweep(mini_vocab, mini_store, mini_gold)
 
-    def test_disjoint_gold_warns_but_proceeds(self, mini_store, mini_vocab):
-        foreign = _mset(("x", CLOSE, "bay-noun-1"))
-        grid = SweepGrid(taxonomy_options=(False,), ol_min_values=(0,),
-                         f_min_values=(0,))
-        with pytest.warns(UserWarning, match="no terms"):
-            rows = run_sweep(mini_vocab, mini_store, foreign, grid=grid)
-        assert len(rows) == 1
-
 
 class TestSummarize:
     def test_identical_rows_mean_is_the_row(self, mini_store, mini_vocab,

@@ -19,6 +19,7 @@ from vocmap.mapper import (
     MapperConfig,
     MatchKind,
     _desc_ranks,
+    _select,
     assign_relation,
     find_candidates,
     find_semantic_mapping,
@@ -173,6 +174,7 @@ class TestSelectBest:
             -salience(c, cands), -c.f, c.synset.offset, c.word_sense.lemma,
             c.word_sense.sense_number))
         assert select_best(cands) is pairwise
+        assert _select(cands) == (pairwise, salience(pairwise, cands))
 
 
 class TestAssignRelation:

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from vocmap.vocab import (
+    WN20_SYNSET_NS,
     Mapping,
     MappingRelation,
     MappingSet,
@@ -251,6 +252,13 @@ class TestLoadGold:
         loaded = load_gold(data)
         assert len(loaded) == 0
         assert loaded.warnings
+
+    def test_relative_subject_reports_its_line(self):
+        data = (f"<{BAY}> <{SKOS}closeMatch> <{WN20_SYNSET_NS}bay-noun-1> .\n"
+                f"<foo> <{SKOS}closeMatch> <{WN20_SYNSET_NS}bay-noun-1> .\n")
+        with pytest.raises(ParseError, match="not an absolute IRI") as err:
+            load_gold(data)
+        assert err.value.line_no == 2
 
 
 _relations = st.sampled_from(list(MappingRelation))
