@@ -274,6 +274,9 @@ _BASELINE_DEFAULTS = {"seed": 0, "threshold": 0.9, "out": "out"}
 
 def cmd_baseline(args: argparse.Namespace) -> int:
     args = _merge_config(args, _BASELINE_DEFAULTS)
+    if not 0 <= args.threshold <= 1:
+        raise _UsageError(
+            f"--threshold must be >= 0 and <= 1, got {args.threshold}")
     store = _load_store(args.wordnet)
     vocabulary = _load_vocabulary(args.vocab)
     if args.kind == "random":

@@ -24,23 +24,9 @@ class EvalResult:
     precision: float
     recall: float
     f_measure: float
-    beta: float
     n_machine: int
     n_gold: int
     n_correct: int
-
-
-def precision_recall(machine: MappingSet,
-                     gold: MappingSet) -> tuple[float, float]:
-    """Precision and recall of a machine mapping against a gold standard.
-
-    Both are 0 by convention when their denominator set is empty.
-    """
-    m, g = machine.triples, gold.triples
-    correct = len(m & g)
-    precision = correct / len(m) if m else 0.0
-    recall = correct / len(g) if g else 0.0
-    return precision, recall
 
 
 def f_measure(precision: float, recall: float, beta: float = 0.5) -> float:
@@ -52,18 +38,17 @@ def f_measure(precision: float, recall: float, beta: float = 0.5) -> float:
     return (1 + beta * beta) * precision * recall / denominator
 
 
-def evaluate(machine: MappingSet, gold: MappingSet,
-             beta: float = 0.5) -> EvalResult:
-    precision, recall = precision_recall(machine, gold)
-    return EvalResult(
-        precision=precision,
-        recall=recall,
-        f_measure=f_measure(precision, recall, beta),
-        beta=beta,
-        n_machine=len(machine.triples),
-        n_gold=len(gold.triples),
-        n_correct=len(machine.triples & gold.triples),
-    )
+def evaluate(machine: MappingSet, gold: MappingSet) -> EvalResult:
+    """Precision, recall and F0.5 of a machine mapping against a gold
+    standard.  Precision and recall are 0 by convention when their
+    denominator set is empty."""
+    m, g = machine.triples, gold.triples
+    correct = len(m & g)
+    precision = correct / len(m) if m else 0.0
+    recall = correct / len(g) if g else 0.0
+    return EvalResult(precision=precision, recall=recall,
+                      f_measure=f_measure(precision, recall),
+                      n_machine=len(m), n_gold=len(g), n_correct=correct)
 
 
 # ---------------------------------------------------------------------------
@@ -145,67 +130,6 @@ def run_sweep(vocabulary, store: WordNetStore, gold: MappingSet,
     return rows
 
 
-@dataclass(frozen=True)
-class SummaryRow:
-    parameter: str
-    value: str
-    mean_precision: float
-    mean_recall: float
-    mean_f_measure: float
-    best_precision: bool = False
-    best_recall: bool = False
-    best_f_measure: bool = False
-
-
-_PARAMETER_KEYS = {
-    "taxonomy": lambda row: "on" if row.taxonomy_on else "off",
-    "f_min": lambda row: row.config.f_min,
-    "ol_min": lambda row: row.config.ol_min,
-}
-
-
-def summarize(rows: Sequence[SweepRow], parameter: str) -> list[SummaryRow]:
-    """Mean precision/recall/F per value of one parameter, with the best
-    value per column flagged."""
-    try:
-        key = _PARAMETER_KEYS[parameter]
-    except KeyError:
-        raise ValueError(f"unknown parameter: {parameter!r}") from None
-    groups: dict = {}
-    for row in rows:
-        groups.setdefault(key(row), []).append(row.result)
-    means = []
-    for value, results in groups.items():
-        n = len(results)
-        means.append((
-            value,
-            sum(r.precision for r in results) / n,
-            sum(r.recall for r in results) / n,
-            sum(r.f_measure for r in results) / n,
-        ))
-    means.sort(key=lambda item: str(item[0]) if parameter == "taxonomy"
-               else item[0])
-    best_p = max(m[1] for m in means)
-    best_r = max(m[2] for m in means)
-    best_f = max(m[3] for m in means)
-    return [
-        SummaryRow(parameter=parameter, value=str(value),
-                   mean_precision=p, mean_recall=r, mean_f_measure=f,
-                   best_precision=(p == best_p), best_recall=(r == best_r),
-                   best_f_measure=(f == best_f))
-        for value, p, r, f in means
-    ]
-
-
-def upper_bounds(rows: Sequence[SweepRow]) -> tuple[float, float, float]:
-    """Per-column maxima over all sweep rows."""
-    return (
-        max(row.result.precision for row in rows),
-        max(row.result.recall for row in rows),
-        max(row.result.f_measure for row in rows),
-    )
-
-
 def sweep_tsv(rows: Sequence[SweepRow], include_timings: bool = False) -> bytes:
     """Sweep rows as TSV.  Timings are written as 0 unless requested, so the
     default output is byte-reproducible."""
@@ -223,22 +147,29 @@ def sweep_tsv(rows: Sequence[SweepRow], include_timings: bool = False) -> bytes:
 
 
 def summary_tsv(rows: Sequence[SweepRow]) -> bytes:
-    """Per-parameter mean table plus an upper-bounds row.  Best values per
-    column carry a trailing asterisk."""
-    def _cell(value: float, best: bool) -> str:
-        return f"{value:.4f}*" if best else f"{value:.4f}"
-
+    """Mean precision, recall and F per value of each parameter, then an
+    upper-bound row of the column maxima over all rows.  Within each
+    parameter, a mean that equals its column's best carries a trailing
+    asterisk."""
+    columns = ("precision", "recall", "f_measure")
     lines = ["parameter\tvalue\tmean_precision\tmean_recall\tmean_f_measure"]
-    for parameter in ("taxonomy", "f_min", "ol_min"):
-        for s in summarize(rows, parameter):
-            lines.append(
-                f"{s.parameter}\t{s.value}"
-                f"\t{_cell(s.mean_precision, s.best_precision)}"
-                f"\t{_cell(s.mean_recall, s.best_recall)}"
-                f"\t{_cell(s.mean_f_measure, s.best_f_measure)}"
-            )
-    max_p, max_r, max_f = upper_bounds(rows)
-    lines.append(f"upper_bound\t-\t{max_p:.4f}\t{max_r:.4f}\t{max_f:.4f}")
+    for parameter, key in (
+            ("taxonomy", lambda row: "on" if row.taxonomy_on else "off"),
+            ("f_min", lambda row: row.config.f_min),
+            ("ol_min", lambda row: row.config.ol_min)):
+        groups: dict = {}
+        for row in rows:
+            groups.setdefault(key(row), []).append(row.result)
+        means = {value: [sum(getattr(r, c) for r in results) / len(results)
+                         for c in columns]
+                 for value, results in sorted(groups.items())}
+        best = [max(column) for column in zip(*means.values())]
+        for value, row_means in means.items():
+            lines.append(f"{parameter}\t{value}\t" + "\t".join(
+                f"{m:.4f}*" if m == b else f"{m:.4f}"
+                for m, b in zip(row_means, best)))
+    lines.append("upper_bound\t-\t" + "\t".join(
+        f"{max(getattr(row.result, c) for row in rows):.4f}" for c in columns))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -274,6 +205,8 @@ def trigram_baseline_mapping(vocabulary, store: WordNetStore,
     """
     if strategy not in ("labels", "definitions"):
         raise ValueError(f"unknown strategy: {strategy!r}")
+    if not 0 <= threshold <= 1:
+        raise ValueError(f"threshold must be >= 0 and <= 1, got {threshold}")
     mappings: list[Mapping] = []
     for uri in sorted(vocabulary.terms):
         term = vocabulary.terms[uri]

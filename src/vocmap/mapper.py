@@ -226,9 +226,13 @@ def salience(candidate: Candidate, candidates: Sequence[Candidate]) -> float:
     return _salience(len(candidates), rank_f, rank_ol)
 
 
-def _select(candidates: Sequence[Candidate]) -> tuple[Candidate, float]:
+def select_best(candidates: Sequence[Candidate]) -> tuple[Candidate, float]:
     """The candidate with maximum salience, and that salience, from one
-    ranking by sorting."""
+    ranking by sorting.
+
+    Ties break deterministically: higher frequency, then lower synset
+    offset, then lemma and sense number.
+    """
     if not candidates:
         raise ValueError("cannot select from an empty candidate set")
     n = len(candidates)
@@ -238,15 +242,6 @@ def _select(candidates: Sequence[Candidate]) -> tuple[Candidate, float]:
         -_salience(n, r[1], r[2]), -r[0].f, r[0].synset.offset,
         r[0].word_sense.lemma, r[0].word_sense.sense_number))
     return best, _salience(n, rank_f, rank_ol)
-
-
-def select_best(candidates: Sequence[Candidate]) -> Candidate:
-    """The candidate with maximum salience.
-
-    Ties break deterministically: higher frequency, then lower synset
-    offset, then lemma and sense number.
-    """
-    return _select(candidates)[0]
 
 
 def assign_relation(best: Candidate,
@@ -275,7 +270,7 @@ def _pick(uri: str, forms: tuple, config: MapperConfig, store: WordNetStore,
                      or c.synset in config.taxonomy)]
         if not kept:
             continue
-        best, score = _select(kept)
+        best, score = select_best(kept)
         label_pass = definition_term is None
         return Mapping(
             term=uri, synset=store.synset_name(best.synset),

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, outputs, determinism."""
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -194,6 +195,21 @@ class TestCmdSweep:
         for name in ("sweep.tsv", "summary.tsv"):
             assert (tmp_path / "clean" / name).read_bytes() \
                 == (tmp_path / "warned" / name).read_bytes()
+
+    def test_full_grid_output_bytes_are_pinned(self, paths, tmp_path):
+        out = tmp_path / "full"
+        assert main(["sweep", "--vocab", paths["vocab"],
+                     "--wordnet", paths["wordnet"], "--gold", paths["gold"],
+                     "--taxonomy-roots", paths["roots"],
+                     "--out", str(out)]) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("sweep.tsv", "summary.tsv")}
+        assert digests == {
+            "sweep.tsv": "00094cb24f977acfb1d3ad3f4415590f"
+                         "e9787385d3d5848f25d6f85dbcccb18a",
+            "summary.tsv": "34e3ce0ea2c63c76217e4a4507442e59"
+                           "5590b582e0594b924865a1dc6a0db2ba",
+        }
 
     def test_summary_written(self, paths, tmp_path):
         out = tmp_path / "sum"
@@ -515,6 +531,10 @@ class TestFailurePaths:
         ("sweep", ["--f-min=0,-1"], None, "--f-min"),
         ("sweep", [], "ol_min = 2,-3\n", "--ol-min"),
         ("sweep", [], "f_min = -1\n", "--f-min"),
+        ("baseline", ["--threshold=nan"], None, "--threshold"),
+        ("baseline", ["--threshold=-1"], None, "--threshold"),
+        ("baseline", ["--threshold=1.5"], None, "--threshold"),
+        ("baseline", [], "threshold = nan\n", "--threshold"),
     ])
     def test_negative_threshold_is_usage_error_before_loading(
             self, paths, tmp_path, capsys, command, flags, config, flag):

@@ -10,14 +10,11 @@ from vocmap.evaluation import (
     SweepGrid,
     evaluate,
     f_measure,
-    precision_recall,
     run_sweep,
-    summarize,
     summary_tsv,
     sweep_tsv,
     trigram_baseline_mapping,
     trigram_similarity,
-    upper_bounds,
 )
 from vocmap.mapper import MapperConfig, map_vocabulary
 from vocmap.vocab import Mapping, MappingRelation, MappingSet
@@ -33,15 +30,20 @@ def _mset(*triples):
 CLOSE, RELATED = MappingRelation.CLOSE, MappingRelation.RELATED
 
 
+def _pr(machine, gold):
+    result = evaluate(machine, gold)
+    return result.precision, result.recall
+
+
 class TestPrecisionRecall:
     def test_identical_sets(self):
         m = _mset(("a", CLOSE, "bay-noun-1"), ("b", RELATED, "sea-noun-1"))
-        assert precision_recall(m, m) == (1.0, 1.0)
+        assert _pr(m, m) == (1.0, 1.0)
 
     def test_disjoint_sets(self):
         m = _mset(("a", CLOSE, "bay-noun-1"))
         g = _mset(("a", RELATED, "bay-noun-1"))
-        assert precision_recall(m, g) == (0.0, 0.0)
+        assert _pr(m, g) == (0.0, 0.0)
 
     def test_hand_counted_case(self):
         machine = _mset(("a", CLOSE, "s1"), ("b", CLOSE, "s2"),
@@ -49,20 +51,24 @@ class TestPrecisionRecall:
         gold = _mset(("a", CLOSE, "s1"), ("b", CLOSE, "s2"),
                      ("c", RELATED, "s3"), ("e", CLOSE, "s5"),
                      ("f", RELATED, "s6"))
-        assert precision_recall(machine, gold) == (0.75, 0.6)
+        result = evaluate(machine, gold)
+        assert (result.precision, result.recall) == (0.75, 0.6)
+        assert (result.n_machine, result.n_gold, result.n_correct) \
+            == (4, 5, 3)
+        assert result.f_measure == f_measure(0.75, 0.6)
 
     def test_empty_machine_set(self):
-        assert precision_recall(_mset(), _mset(("a", CLOSE, "s1"))) == (0.0, 0.0)
+        assert _pr(_mset(), _mset(("a", CLOSE, "s1"))) == (0.0, 0.0)
 
     def test_symmetry_with_recall(self):
         m = _mset(("a", CLOSE, "s1"), ("b", CLOSE, "s2"))
         g = _mset(("a", CLOSE, "s1"), ("c", CLOSE, "s3"), ("d", CLOSE, "s4"))
-        assert precision_recall(m, g)[0] == precision_recall(g, m)[1]
+        assert _pr(m, g)[0] == _pr(g, m)[1]
 
     def test_wrong_relation_is_incorrect(self):
         machine = _mset(("a", RELATED, "bay-noun-1"))
         gold = _mset(("a", CLOSE, "bay-noun-1"))
-        assert precision_recall(machine, gold) == (0.0, 0.0)
+        assert _pr(machine, gold) == (0.0, 0.0)
 
 
 class TestFMeasure:
@@ -141,16 +147,23 @@ class TestRunSweep:
             run_sweep(mini_vocab, mini_store, mini_gold)
 
 
+def _summary_cells(rows):
+    """summary.tsv as {(parameter, value): [precision, recall, F cells]}."""
+    lines = summary_tsv(rows).decode().splitlines()[1:]
+    return {tuple(cells[:2]): cells[2:]
+            for cells in (line.split("\t") for line in lines)}
+
+
 class TestSummarize:
     def test_identical_rows_mean_is_the_row(self, mini_store, mini_vocab,
                                             mini_gold):
         grid = SweepGrid(taxonomy_options=(False,), ol_min_values=(1,),
                          f_min_values=(0, 1))
         rows = run_sweep(mini_vocab, mini_store, mini_gold, grid=grid)
-        if rows[0].result == rows[1].result:
-            table = summarize(rows, "ol_min")
-            assert len(table) == 1
-            assert table[0].mean_precision == rows[0].result.precision
+        assert rows[0].result == rows[1].result
+        cells = _summary_cells(rows)
+        assert [key for key in cells if key[0] == "ol_min"] == [("ol_min", "1")]
+        assert cells["ol_min", "1"][0] == f"{rows[0].result.precision:.4f}*"
 
     def test_two_group_arithmetic(self):
         from vocmap.evaluation import EvalResult, SweepRow
@@ -158,54 +171,72 @@ class TestSummarize:
 
         def _row(taxonomy, precision):
             result = EvalResult(precision=precision, recall=0.5,
-                                f_measure=0.5, beta=0.5, n_machine=1,
+                                f_measure=0.5, n_machine=1,
                                 n_gold=1, n_correct=1)
             config = MapperConfig(taxonomy=frozenset() if taxonomy else None)
             return SweepRow(config=config, result=result, n_mappings=1)
 
         rows = [_row(False, 0.7), _row(False, 0.9),
                 _row(True, 0.8), _row(True, 0.8)]
-        table = summarize(rows, "taxonomy")
-        assert [(s.value, s.mean_precision) for s in table] \
-            == [("off", 0.8), ("on", 0.8)]
+        assert summary_tsv(rows).decode().splitlines()[1:] == [
+            "taxonomy\toff\t0.8000*\t0.5000*\t0.5000*",
+            "taxonomy\ton\t0.8000*\t0.5000*\t0.5000*",
+            "f_min\t0\t0.8000*\t0.5000*\t0.5000*",
+            "ol_min\t0\t0.8000*\t0.5000*\t0.5000*",
+            "upper_bound\t-\t0.9000\t0.5000\t0.5000",
+        ]
 
     def test_group_means(self, mini_store, mini_vocab, mini_gold,
                          mini_taxonomy):
         grid = SweepGrid(ol_min_values=(0, 1), f_min_values=(0,))
         rows = run_sweep(mini_vocab, mini_store, mini_gold, grid=grid,
                          taxonomy=mini_taxonomy)
-        table = summarize(rows, "taxonomy")
-        assert [s.value for s in table] == ["off", "on"]
-        for entry in table:
+        means = {}
+        for value in ("off", "on"):
             group = [r.result for r in rows
-                     if ("on" if r.taxonomy_on else "off") == entry.value]
-            assert entry.mean_precision == pytest.approx(
-                sum(r.precision for r in group) / len(group))
+                     if ("on" if r.taxonomy_on else "off") == value]
+            means[value] = [sum(r.precision for r in group) / len(group),
+                            sum(r.recall for r in group) / len(group),
+                            sum(r.f_measure for r in group) / len(group)]
+        cells = _summary_cells(rows)
+        assert [key[1] for key in cells if key[0] == "taxonomy"] \
+            == ["off", "on"]
+        best = [max(column) for column in zip(*means.values())]
+        for value, row_means in means.items():
+            assert cells["taxonomy", value] == [
+                f"{m:.4f}*" if m == b else f"{m:.4f}"
+                for m, b in zip(row_means, best)]
 
     def test_fixture_sweep_means_match_tsv_recomputation(
             self, mini_store, mini_vocab, mini_gold, mini_taxonomy):
         grid = SweepGrid(ol_min_values=(0, 1, 2), f_min_values=(0, 1, 5))
         rows = run_sweep(mini_vocab, mini_store, mini_gold, grid=grid,
                          taxonomy=mini_taxonomy)
-        # independent recomputation from the emitted TSV text
+        # independent recomputation from the emitted TSV text, whose cells
+        # are rounded, so the means agree to within the rounding
         lines = sweep_tsv(rows).decode().splitlines()[1:]
         by_f: dict[str, list[float]] = {}
         for line in lines:
             cells = line.split("\t")
             by_f.setdefault(cells[1], []).append(float(cells[3]))
-        for entry in summarize(rows, "f_min"):
-            expected = sum(by_f[entry.value]) / len(by_f[entry.value])
-            assert entry.mean_precision == pytest.approx(expected, abs=5e-5)
+        summary = _summary_cells(rows)
+        assert [key[1] for key in summary if key[0] == "f_min"] \
+            == ["0", "1", "5"]
+        for value, precisions in by_f.items():
+            expected = sum(precisions) / len(precisions)
+            mean = float(summary["f_min", value][0].rstrip("*"))
+            assert mean == pytest.approx(expected, abs=5e-5)
 
     def test_upper_bounds_are_column_maxima(self, mini_store, mini_vocab,
                                             mini_gold, mini_taxonomy):
         grid = SweepGrid(ol_min_values=(0, 1), f_min_values=(0, 10))
         rows = run_sweep(mini_vocab, mini_store, mini_gold, grid=grid,
                          taxonomy=mini_taxonomy)
-        max_p, max_r, max_f = upper_bounds(rows)
-        assert max_p == max(r.result.precision for r in rows)
-        assert max_r == max(r.result.recall for r in rows)
-        assert max_f == max(r.result.f_measure for r in rows)
+        assert _summary_cells(rows)["upper_bound", "-"] == [
+            f"{max(r.result.precision for r in rows):.4f}",
+            f"{max(r.result.recall for r in rows):.4f}",
+            f"{max(r.result.f_measure for r in rows):.4f}",
+        ]
 
     def test_summary_tsv_shape(self, mini_store, mini_vocab, mini_gold,
                                mini_taxonomy):

@@ -19,7 +19,6 @@ from vocmap.mapper import (
     MapperConfig,
     MatchKind,
     _desc_ranks,
-    _select,
     assign_relation,
     find_candidates,
     find_semantic_mapping,
@@ -142,24 +141,24 @@ class TestSalience:
 class TestSelectBest:
     def test_singleton(self):
         c = _candidate(1, f=1, ol=1)
-        assert select_best([c]) is c
+        assert select_best([c])[0] is c
 
     def test_strict_max(self):
         best = _candidate(1, f=10, ol=5)
         cands = [best, _candidate(2, f=1, ol=1), _candidate(3, f=1, ol=2)]
-        assert select_best(cands) is best
+        assert select_best(cands)[0] is best
 
     def test_tie_broken_by_frequency(self):
         # equal salience by symmetric ranks; the higher frequency wins
         a = _candidate(1, f=10, ol=1)
         b = _candidate(2, f=3, ol=2)
         assert salience(a, [a, b]) == salience(b, [a, b])
-        assert select_best([a, b]) is a
+        assert select_best([a, b])[0] is a
 
     def test_tie_broken_by_offset_after_frequency(self):
         a = _candidate(5, f=3, ol=2)
         b = _candidate(2, f=3, ol=2)
-        assert select_best([a, b]) is b
+        assert select_best([a, b])[0] is b
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
@@ -173,8 +172,9 @@ class TestSelectBest:
         pairwise = min(cands, key=lambda c: (
             -salience(c, cands), -c.f, c.synset.offset, c.word_sense.lemma,
             c.word_sense.sense_number))
-        assert select_best(cands) is pairwise
-        assert _select(cands) == (pairwise, salience(pairwise, cands))
+        best, score = select_best(cands)
+        assert best is pairwise
+        assert score == salience(pairwise, cands)
 
 
 class TestAssignRelation:
@@ -201,7 +201,7 @@ class TestRelationNeverExact:
                                 ol=rng.randint(0, 10),
                                 kind=rng.choice(list(MatchKind)))
                      for i in range(n)]
-            relation = assign_relation(select_best(cands), cands)
+            relation = assign_relation(select_best(cands)[0], cands)
             assert relation in (MappingRelation.CLOSE, MappingRelation.RELATED)
 
 
