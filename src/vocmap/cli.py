@@ -70,9 +70,14 @@ def _load_gold(path: str) -> vocab.MappingSet:
 
 
 def _read_roots(path: str, store: wordnet.WordNetStore):
-    names = [line.strip() for line in _read_text(path).splitlines()
-             if line.strip() and not line.lstrip().startswith("#")]
-    return [store.resolve_synset_name(name) for name in names]
+    roots = []
+    for line_no, line in enumerate(_read_text(path).splitlines(), 1):
+        if line.strip() and not line.lstrip().startswith("#"):
+            try:
+                roots.append(store.resolve_synset_name(line.strip()))
+            except wordnet.LoadError as exc:
+                raise wordnet.LoadError(str(exc), path, line_no) from None
+    return roots
 
 
 def _unknown_gold_synsets(gold: vocab.MappingSet,

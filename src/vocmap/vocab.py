@@ -1,9 +1,9 @@
 """SKOS-style vocabulary and mapping data model with N-Triples serialization.
 
 A vocabulary is a set of terms, each carrying a preferred label, optional
-alternative labels, an optional lexical definition, and broader/narrower/
-related links.  Mappings connect a term to a WordNet noun synset through one
-of the three SKOS mapping relations (exactMatch, closeMatch, relatedMatch).
+alternative labels and an optional lexical definition.  Mappings connect a
+term to a WordNet noun synset through one of the three SKOS mapping
+relations (exactMatch, closeMatch, relatedMatch).
 
 Input and output are line-oriented N-Triples (UTF-8, LF).  Serialization is
 deterministic: byte output depends only on set content, never on insertion
@@ -21,9 +21,6 @@ SKOS = "http://www.w3.org/2004/02/skos/core#"
 SKOS_PREF_LABEL = SKOS + "prefLabel"
 SKOS_ALT_LABEL = SKOS + "altLabel"
 SKOS_DEFINITION = SKOS + "definition"
-SKOS_BROADER = SKOS + "broader"
-SKOS_NARROWER = SKOS + "narrower"
-SKOS_RELATED = SKOS + "related"
 SKOS_EXACT_MATCH = SKOS + "exactMatch"
 SKOS_CLOSE_MATCH = SKOS + "closeMatch"
 SKOS_RELATED_MATCH = SKOS + "relatedMatch"
@@ -80,9 +77,6 @@ class Term:
     pref_label: str
     alt_labels: tuple[str, ...] = ()
     definition: str | None = None
-    broader: tuple[str, ...] = ()
-    narrower: tuple[str, ...] = ()
-    related: tuple[str, ...] = ()
 
     def __post_init__(self):
         if not _ABSOLUTE_IRI_RE.match(self.uri):
@@ -100,11 +94,7 @@ class Term:
 
 
 class Vocabulary:
-    """An immutable collection of terms keyed by URI.
-
-    ``external_refs`` holds broader/narrower/related targets that do not
-    resolve to a term of this vocabulary.
-    """
+    """An immutable collection of terms keyed by URI."""
 
     def __init__(self, terms: Iterable[Term], name: str = "",
                  warnings: Iterable[str] = ()):
@@ -116,12 +106,6 @@ class Vocabulary:
         self.terms = by_uri
         self.name = name
         self.warnings = list(warnings)
-        external: set[str] = set()
-        for term in by_uri.values():
-            for target in term.broader + term.narrower + term.related:
-                if target not in by_uri:
-                    external.add(target)
-        self.external_refs = frozenset(external)
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -287,53 +271,38 @@ def parse_vocabulary_ntriples(data: bytes | str, name: str = "") -> Vocabulary:
 
     One term is built per subject that carries at least one prefLabel.
     Only the first prefLabel (and definition) per language tag is kept;
-    repeats are recorded as warnings.  Unrecognized predicates are ignored.
+    repeats are recorded as warnings.  Every other predicate is ignored.
     """
     pref: dict[str, dict[str | None, str]] = {}
     definition: dict[str, dict[str | None, str]] = {}
     alt: dict[str, list[str]] = {}
-    links: dict[str, dict[str, list[str]]] = {}
     first_line: dict[str, int] = {}  # subjects in order, with their line
     warnings: list[str] = []
 
-    def _subject(s: str, line_no: int) -> None:
-        if s not in pref:
-            pref[s] = {}
-            definition[s] = {}
-            alt[s] = []
-            links[s] = {"broader": [], "narrower": [], "related": []}
-            first_line[s] = line_no
-
     for line_no, subject, predicate, obj in _iter_triples(data):
-        if predicate in (SKOS_PREF_LABEL, SKOS_ALT_LABEL, SKOS_DEFINITION):
-            if obj[0] != "literal":
+        if predicate not in (SKOS_PREF_LABEL, SKOS_ALT_LABEL, SKOS_DEFINITION):
+            continue  # links and any other predicate are never read
+        if obj[0] != "literal":
+            warnings.append(
+                f"line {line_no}: non-literal object for {predicate}; ignored")
+            continue
+        _, text, lang = obj
+        if subject not in pref:
+            pref[subject] = {}
+            definition[subject] = {}
+            alt[subject] = []
+            first_line[subject] = line_no
+        if predicate == SKOS_PREF_LABEL:
+            if lang in pref[subject]:
                 warnings.append(
-                    f"line {line_no}: non-literal object for {predicate}; ignored")
-                continue
-            _, text, lang = obj
-            _subject(subject, line_no)
-            if predicate == SKOS_PREF_LABEL:
-                if lang in pref[subject]:
-                    warnings.append(
-                        f"line {line_no}: repeated prefLabel for <{subject}> "
-                        f"(language {lang or 'untagged'}); keeping the first")
-                else:
-                    pref[subject][lang] = text
-            elif predicate == SKOS_ALT_LABEL:
-                alt[subject].append(text)
+                    f"line {line_no}: repeated prefLabel for <{subject}> "
+                    f"(language {lang or 'untagged'}); keeping the first")
             else:
-                if lang not in definition[subject]:
-                    definition[subject][lang] = text
-        elif predicate in (SKOS_BROADER, SKOS_NARROWER, SKOS_RELATED):
-            if obj[0] != "iri":
-                warnings.append(
-                    f"line {line_no}: non-IRI object for {predicate}; ignored")
-                continue
-            _subject(subject, line_no)
-            key = {SKOS_BROADER: "broader", SKOS_NARROWER: "narrower",
-                   SKOS_RELATED: "related"}[predicate]
-            links[subject][key].append(obj[1])
-        # anything else: not a SKOS vocabulary predicate, skip silently
+                pref[subject][lang] = text
+        elif predicate == SKOS_ALT_LABEL:
+            alt[subject].append(text)
+        elif lang not in definition[subject]:
+            definition[subject][lang] = text
 
     terms: list[Term] = []
     for subject, line_no in first_line.items():
@@ -343,15 +312,9 @@ def parse_vocabulary_ntriples(data: bytes | str, name: str = "") -> Vocabulary:
                 warnings.append(f"term <{subject}> skipped: no prefLabel")
             continue
         try:
-            terms.append(Term(
-                uri=subject,
-                pref_label=label,
-                alt_labels=tuple(alt[subject]),
-                definition=_pick_by_language(definition[subject]),
-                broader=tuple(links[subject]["broader"]),
-                narrower=tuple(links[subject]["narrower"]),
-                related=tuple(links[subject]["related"]),
-            ))
+            terms.append(Term(uri=subject, pref_label=label,
+                              alt_labels=tuple(alt[subject]),
+                              definition=_pick_by_language(definition[subject])))
         except ValueError as exc:  # a relative subject IRI
             raise ParseError(str(exc), line_no) from None
     return Vocabulary(terms, name=name, warnings=warnings)
@@ -417,13 +380,7 @@ def load_gold(data: bytes | str) -> MappingSet:
         if not name:
             warnings.append(f"line {line_no}: empty synset name; triple ignored")
             continue
-        lemma = name.rsplit("-noun-", 1)[0] if "-noun-" in name else ""
-        mappings.append(Mapping(
-            term=subject,
-            relation=_PREDICATE_TO_RELATION[predicate],
-            synset=name,
-            score=1.0,
-            provenance=Provenance.LABEL,
-            source_word=lemma,
-        ))
+        mappings.append(Mapping(term=subject,
+                                relation=_PREDICATE_TO_RELATION[predicate],
+                                synset=name))
     return MappingSet(mappings, warnings=warnings)

@@ -315,11 +315,6 @@ def _data_lines(data: bytes, source: str):
         yield line_no, raw.rstrip("\n")
 
 
-def _strip_marker(word: str) -> str:
-    # adjective-style "(p)" markers never occur on nouns, but strip anyway
-    return re.sub(r"\(.*?\)$", "", word) if word.endswith(")") else word
-
-
 @_collector_paused()
 def load_wndb(index_noun: bytes, data_noun: bytes,
               cntlist_rev: bytes = b"", noun_exc: bytes = b"") -> WordNetStore:
@@ -327,12 +322,10 @@ def load_wndb(index_noun: bytes, data_noun: bytes,
 
     Tag frequencies default to 0 for senses missing from cntlist.rev.
     Pointers to non-noun synsets are skipped; dangling noun targets are a
-    load error.
+    load error.  Every error names the file and line at fault.
     """
     # data.noun: offset lex_filenum ss_type w_cnt (word lex_id)+ p_cnt ptr* | gloss
-    words_at: dict[int, list[str]] = {}
-    gloss_at: dict[int, str] = {}
-    relations_at: dict[int, list[tuple[str, SynsetId]]] = {}
+    entries: dict[int, tuple] = {}  # offset: (words, gloss, relations)
     for line_no, line in _data_lines(data_noun, "data.noun"):
         head, _, gloss = line.partition("|")
         fields = head.split()
@@ -343,8 +336,7 @@ def load_wndb(index_noun: bytes, data_noun: bytes,
                 raise LoadError("not a noun synset line",
                                 source="data.noun", line_no=line_no)
             w_cnt = int(fields[3], 16)  # word count is hexadecimal
-            words = [_strip_marker(fields[4 + 2 * k]).lower()
-                     for k in range(w_cnt)]
+            words = [fields[4 + 2 * k].lower() for k in range(w_cnt)]
             p_idx = 4 + 2 * w_cnt
             p_cnt = int(fields[p_idx])
             rels: list[tuple[str, SynsetId]] = []
@@ -363,12 +355,10 @@ def load_wndb(index_noun: bytes, data_noun: bytes,
         except (IndexError, ValueError) as exc:
             raise LoadError(f"malformed synset line ({exc})",
                             source="data.noun", line_no=line_no) from exc
-        if offset in words_at:
+        if offset in entries:
             raise LoadError(f"duplicate synset offset {offset}",
                             source="data.noun", line_no=line_no)
-        words_at[offset] = words
-        gloss_at[offset] = gloss.strip()
-        relations_at[offset] = rels
+        entries[offset] = (words, gloss.strip(), rels)
 
     # index.noun: lemma pos synset_cnt p_cnt sym* sense_cnt tagsense_cnt offset+
     offsets_for: dict[str, list[int]] = {}
@@ -395,7 +385,7 @@ def load_wndb(index_noun: bytes, data_noun: bytes,
             raise LoadError(f"duplicate index entry for {lemma!r}",
                             source="index.noun", line_no=line_no)
         for off in offsets:
-            if off not in words_at:
+            if off not in entries:
                 raise LoadError(
                     f"lemma {lemma!r} references unknown offset {off}",
                     source="index.noun", line_no=line_no)
@@ -403,6 +393,7 @@ def load_wndb(index_noun: bytes, data_noun: bytes,
 
     # cntlist.rev: sense_key sense_number tag_cnt; noun keys have ss_type 1
     counts: dict[tuple[str, int], int] = {}
+    negative_at: dict[tuple[str, int], int] = {}  # line of a negative count
     for line_no, line in _data_lines(cntlist_rev, "cntlist.rev"):
         fields = line.split()
         try:
@@ -414,6 +405,8 @@ def load_wndb(index_noun: bytes, data_noun: bytes,
                             source="cntlist.rev", line_no=line_no) from exc
         if ss_type == "1":
             counts[(lemma.lower(), sense_number)] = tag_cnt
+            if tag_cnt < 0:
+                negative_at[(lemma.lower(), sense_number)] = line_no
 
     exceptions: dict[str, str] = {}
     for line_no, line in _data_lines(noun_exc, "noun.exc"):
@@ -423,26 +416,44 @@ def load_wndb(index_noun: bytes, data_noun: bytes,
                             source="noun.exc", line_no=line_no)
         exceptions[fields[0].lower()] = fields[1].lower()
 
+    def error_at(offset: int, message: str) -> LoadError:
+        # only a failing load needs a synset's line, so data.noun is reread
+        line_no = next(n for n, line in _data_lines(data_noun, "data.noun")
+                       if int(line.split(None, 1)[0]) == offset)
+        return LoadError(message, source="data.noun", line_no=line_no)
+
+    # the checks the store would make, made here to name the line at fault
     synsets: list[Synset] = []
-    for offset, words in words_at.items():
+    for offset, (words, gloss, rels) in entries.items():
         sid = SynsetId("n", offset)
+        if not words:
+            raise error_at(offset, f"synset {sid} has no word senses")
         senses = []
-        for word in words:
+        for k, word in enumerate(words):
             offs = offsets_for.get(word)
             if offs is None or offset not in offs:
-                raise LoadError(
-                    f"word {word!r} of synset {offset} is missing from "
-                    "index.noun", source="data.noun")
+                raise error_at(offset, f"word {word!r} of synset {offset} is "
+                               "missing from index.noun")
             sense_number = offs.index(offset) + 1
+            if word in words[:k]:
+                raise error_at(offset, f"duplicate sense number {sense_number} "
+                               f"for lemma {word!r}")
+            tag_frequency = counts.get((word, sense_number), 0)
+            if tag_frequency < 0:
+                raise LoadError(f"negative tag frequency: {word}", "cntlist.rev",
+                                negative_at[(word, sense_number)])
             senses.append(WordSense(
                 lemma=word,
                 synset=sid,
                 sense_number=sense_number,
-                tag_frequency=counts.get((word, sense_number), 0),
+                tag_frequency=tag_frequency,
             ))
-        synsets.append(Synset(id=sid, senses=tuple(senses),
-                              gloss=gloss_at[offset],
-                              relations=tuple(relations_at[offset])))
+        for kind, target in rels:
+            if target.offset not in entries:
+                raise error_at(offset, f"synset offset {offset} has a {kind} "
+                               f"relation to unknown offset {target.offset}")
+        synsets.append(Synset(id=sid, senses=tuple(senses), gloss=gloss,
+                              relations=tuple(rels)))
     return WordNetStore(synsets, exceptions=exceptions)
 
 

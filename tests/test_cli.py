@@ -1,10 +1,15 @@
 """Command-line interface: exit codes, outputs, determinism."""
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import vocmap
 from oracle import oracle_map_vocabulary
 from vocmap.cli import main
 from vocmap.vocab import WN20_SYNSET_NS, MappingRelation, load_gold
@@ -384,6 +389,38 @@ def _single_error_line(err):
     return lines[0]
 
 
+def _outputs(directory):
+    return {str(f.relative_to(directory)): f.read_bytes()
+            for f in sorted(directory.rglob("*")) if f.is_file()}
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(paths, tmp_path):
+    """``map``, the full-grid ``sweep`` and the random baseline write the
+    same bytes under two hash seeds.  The seed is fixed when an interpreter
+    starts, so each seed gets its own."""
+    script = ("import json, sys\nfrom vocmap.cli import main\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    assert main(argv) == 0, argv\n")
+    source = str(Path(vocmap.__file__).parents[1])
+    outputs = []
+    for seed in ("0", "1"):
+        out = tmp_path / seed
+        commands = [
+            _command_args("map", paths, out / "map")
+            + ["--taxonomy-roots", paths["roots"], "--alt-labels"],
+            _command_args("sweep", paths, out / "sweep"),
+            _command_args("baseline", paths, out / "baseline"),
+        ]
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [source, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                       env=env, check=True)
+        outputs.append(_outputs(out))
+    assert len(outputs[0]) == 7
+    assert outputs[0] == outputs[1]
+
+
 class TestFailurePaths:
     """Each failure ends with one ``error:`` line and its exit code."""
 
@@ -492,20 +529,26 @@ class TestFailurePaths:
             f"error: {bad}, line 2: term id is not an absolute IRI: 'foo'")
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("command, flag", [
-        ("map", "--taxonomy-roots"),
-        ("sweep", "--taxonomy-roots"),
-        ("taxonomy", "--roots"),
+    @pytest.mark.parametrize("command, flag, line_2, message", [
+        pytest.param(command, flag, line_2, message, id=f"{command}-{flag}"
+                     + suffix)
+        for suffix, line_2, message in (
+            ("", b"river\xff-noun-1", "not valid UTF-8"),
+            ("-unknown-name", b"nosuch-noun-1",
+             "no such noun sense: 'nosuch-noun-1'"))
+        for command, flag in (("map", "--taxonomy-roots"),
+                              ("sweep", "--taxonomy-roots"),
+                              ("taxonomy", "--roots"))
     ])
     def test_roots_with_invalid_utf8_name_file_and_line(
-            self, paths, tmp_path, capsys, command, flag):
+            self, paths, tmp_path, capsys, command, flag, line_2, message):
         roots = tmp_path / "roots.txt"
-        roots.write_bytes(b"bay-noun-1\nriver\xff-noun-1\n")
+        roots.write_bytes(b"bay-noun-1\n" + line_2 + b"\n")
         code = main(_command_args(command, paths, tmp_path / "o")
                     + [flag, str(roots)])
         assert code == 1
         assert _single_error_line(capsys.readouterr().err) \
-            == f"error: {roots}, line 2: not valid UTF-8"
+            == f"error: {roots}, line 2: {message}"
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("content, message", [

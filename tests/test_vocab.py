@@ -109,12 +109,15 @@ class TestParseVocabulary:
         )
         assert parse_vocabulary_ntriples(data).terms[BAY].pref_label == "bay"
 
-    def test_unresolved_link_targets_flagged_external(self, mini_vocab):
-        assert ("http://example.org/vocab/term/k:natural/v:water_body"
-                in mini_vocab.external_refs)
-        river = "http://example.org/vocab/term/k:waterway/v:river"
-        assert BAY in mini_vocab.terms[river].related
-        assert BAY not in mini_vocab.external_refs
+    def test_link_predicates_are_ignored_silently(self):
+        data = (
+            f'<{BAY}> <{SKOS}prefLabel> "bay" .\n'
+            f'<{BAY}> <{SKOS}broader> "water body" .\n'
+            f'<{BAY}> <{SKOS}related> <http://example.org/vocab/sea> .\n'
+        )
+        vocabulary = parse_vocabulary_ntriples(data)
+        assert vocabulary.terms[BAY] == Term(uri=BAY, pref_label="bay")
+        assert vocabulary.warnings == []
 
     def test_malformed_line_reports_line_number(self):
         data = f'<{BAY}> <{SKOS}prefLabel> "bay"@en .\nnot a triple\n'

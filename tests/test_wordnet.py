@@ -167,11 +167,50 @@ class TestWndbLoader:
         with pytest.raises(LoadError, match=r"data\.noun, line 3: "):
             load_wndb(index, corrupted)
 
-    def test_dangling_pointer_rejected(self):
-        data = b"00000001 17 n 01 bay 0 001 @ 00000099 n 0000 | gloss\n"
-        index = b"bay n 1 1 @ 1 1 00000001\n"
-        with pytest.raises(LoadError, match="99"):
-            load_wndb(index, data)
+    @pytest.mark.parametrize("data, index, cntlist, message", [
+        (b"00000001 17 n 01 bay 0 001 @ 00000099 n 0000 | gloss\n",
+         b"bay n 1 1 @ 1 1 00000001\n", b"",
+         "data.noun, line 1: synset offset 1 has a hyponymOf relation to "
+         "unknown offset 99"),
+        (b"00000001 17 n 01 bay 0 000 | gloss\n", b"", b"",
+         "data.noun, line 1: word 'bay' of synset 1 is missing from "
+         "index.noun"),
+        (b"00000001 17 n 00 000 | gloss\n", b"", b"",
+         "data.noun, line 1: synset SynsetId(pos='n', offset=1) has no "
+         "word senses"),
+        (b"00000001 17 n 02 bay 0 bay 1 000 | gloss\n",
+         b"bay n 1 0 1 0 00000001\n", b"",
+         "data.noun, line 1: duplicate sense number 1 for lemma 'bay'"),
+        (b"00000001 17 n 01 bay 0 000 | gloss\n",
+         b"bay n 1 0 1 0 00000001\n", b"bay%1:17:00:: 1 -3\n",
+         "cntlist.rev, line 1: negative tag frequency: bay"),
+        # syntactic markers occur only on adjectives; on a noun the word
+        # is taken as written and so is not in index.noun
+        (b"00000001 17 n 01 bay(p) 0 000 | gloss\n",
+         b"bay n 1 0 1 0 00000001\n", b"",
+         "data.noun, line 1: word 'bay(p)' of synset 1 is missing from "
+         "index.noun"),
+        # lines are counted past the indented license block; a negative
+        # count that no noun sense reads, or that a later line replaces,
+        # is not an error, and the count named is the last for its sense
+        (b"  license\n00000002 17 n 01 sea 0 000 | x\n"
+         b"00000001 17 n 01 bay 0 001 @ 00000099 n 0000 | gloss\n",
+         b"bay n 1 0 1 0 00000001\nsea n 1 0 1 0 00000002\n",
+         b"bay%2:30:00:: 1 -3\nsea%1:17:00:: 1 -2\nsea%1:17:00:: 1 2\n",
+         "data.noun, line 3: synset offset 1 has a hyponymOf relation to "
+         "unknown offset 99"),
+        (b"00000001 17 n 01 bay 0 000 | gloss\n",
+         b"bay n 1 0 1 0 00000001\n",
+         b"bay%1:17:00:: 1 3\nbay%1:17:00:: 1 -2\n",
+         "cntlist.rev, line 2: negative tag frequency: bay"),
+    ], ids=["dangling-pointer", "word-not-in-index", "no-words",
+            "word-twice", "negative-count", "marked-word",
+            "dangling-pointer-on-line-3", "negative-count-on-line-2"])
+    def test_store_errors_name_file_and_line(self, data, index, cntlist,
+                                             message):
+        with pytest.raises(LoadError) as err:
+            load_wndb(index, data, cntlist)
+        assert str(err.value) == message
 
     def test_fixture_and_wndb_loaders_are_interchangeable(self, fixtures_dir):
         from_wndb = load_wndb_dir(fixtures_dir / "wndb")
