@@ -37,10 +37,11 @@ def _load_store(path: str) -> wordnet.WordNetStore:
     return wordnet.load_fixture(p.read_bytes())
 
 
-def _read_text(path: str) -> str:
-    """A file's text; invalid UTF-8 is an error naming the file and line."""
+def _read_lines(path: str):
+    """A file's (line number, line) pairs, split at line feeds alone;
+    invalid UTF-8 is an error naming the file and line."""
     try:
-        return Path(path).read_bytes().decode("utf-8")
+        return enumerate(Path(path).read_bytes().decode().split("\n"), 1)
     except UnicodeDecodeError as exc:
         line_no = exc.object.count(b"\n", 0, exc.start) + 1
         raise ValueError(f"{path}, line {line_no}: not valid UTF-8") from None
@@ -71,7 +72,7 @@ def _load_gold(path: str) -> vocab.MappingSet:
 
 def _read_roots(path: str, store: wordnet.WordNetStore):
     roots = []
-    for line_no, line in enumerate(_read_text(path).splitlines(), 1):
+    for line_no, line in _read_lines(path):
         if line.strip() and not line.lstrip().startswith("#"):
             try:
                 roots.append(store.resolve_synset_name(line.strip()))
@@ -97,16 +98,11 @@ def _write(directory: Path, name: str, payload: bytes) -> None:
     (directory / name).write_bytes(payload)
 
 
-def _write_report(directory: Path, lines: list[str]) -> None:
-    _write(directory, "run-report.txt",
-           ("\n".join(lines) + "\n").encode("utf-8"))
-
-
 def _load_config_file(path: str) -> dict[str, str]:
     """A config file's values.  A key that no command knows is an error;
     any other key is accepted, so that one file can serve every command."""
     values: dict[str, str] = {}
-    for line_no, raw in enumerate(_read_text(path).splitlines(), 1):
+    for line_no, raw in _read_lines(path):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -208,7 +204,7 @@ def cmd_map(args: argparse.Namespace) -> int:
     ]
     report += [f"warning: {w}" for w in vocabulary.warnings]
     report += [f"warning: {w}" for w in mapping.warnings]
-    _write_report(out, report)
+    _write(out, "run-report.txt", ("\n".join(report) + "\n").encode("utf-8"))
     return 0
 
 

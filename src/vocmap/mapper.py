@@ -95,19 +95,20 @@ def _passes(term: Term, store: WordNetStore, stopwords: frozenset[str],
             use_alt_labels: bool):
     """The passes of a term as (definition term or None, label, forms).
 
-    First the label pass: the forms of the preferred label, then (when
-    enabled) of each alternative label, in order and without repeats.  Then
-    one pass per term extracted from the definition, never one of the
-    term's own label forms or lemmas.
+    A label has one form, its tokens joined by '_'; ``_matching_senses``
+    finds each run of its words in it, so no word needs a form of its own.
+    First the label pass: the form of the preferred label, then (when
+    enabled) of each alternative label, without repeats.  Then one pass per term extracted from the
+    definition, never one of the term's own label forms or lemmas.
     """
     labels = (term.pref_label,) + (term.alt_labels if use_alt_labels else ())
     yield None, term.pref_label, list(dict.fromkeys(
-        form for label in labels for form in compound_candidates(label)))
+        form for label in labels for form in compound_candidates(label)[:1]))
     exclude = set(compound_candidates(term.pref_label))
     exclude.update(lemmatize_noun(t, store) for t in tokenize(term.pref_label))
     for d in extract_definition_terms(term.definition, store, stopwords,
                                       exclude=exclude):
-        yield d, d, compound_candidates(d)
+        yield d, d, compound_candidates(d)[:1]
 
 
 class CandidateTable:
@@ -131,7 +132,8 @@ class CandidateTable:
     def passes(self, term: Term, label_forms: Sequence[str] | None = None):
         """Yield (definition term or None, forms) for each pass of a term,
         the label pass first; ``forms`` holds (form, rows, highest f,
-        highest ol) for each form that has any row, in order.
+        highest ol) for each label form that has any row, in order: one
+        form per label, so a definition pass holds at most one.
         ``label_forms``, when given, replaces the label pass's forms.
 
         ``normalize_definition(text, exclude)`` equals the unexcluded bag
@@ -287,10 +289,9 @@ def find_semantic_mapping(term: Term, store: WordNetStore,
     """Map one term to its best synset, or None when no form yields
     candidates.
 
-    Label forms are tried in order: the full collocation of the preferred
-    label, then its constituent tokens, then (when enabled) the same
-    sequence for each alternative label.  The first form with a non-empty
-    candidate set wins.
+    Label forms are tried in order: the form of the preferred label, then
+    (when enabled) of each alternative label.  The first form with a
+    non-empty candidate set wins.
     """
     table = CandidateTable(Vocabulary(()), store, config)
     _, forms = next(table.passes(term))
@@ -320,16 +321,14 @@ def random_baseline_mapping(vocabulary, store: WordNetStore,
         rng = random.Random(f"{seed}:{uri}")
         for d, _, forms in _passes(vocabulary.terms[uri], store, stopwords,
                                    use_alt_labels=False):
-            for form in forms:
-                senses = sorted(
-                    {ws for ws, _ in _matching_senses(form, store)},
-                    key=lambda ws: (ws.synset.offset, ws.lemma,
-                                    ws.sense_number))
-                if senses:
-                    mappings.append(Mapping(
-                        term=uri, relation=MappingRelation.RELATED,
-                        synset=store.synset_name(rng.choice(senses).synset),
-                        score=0.0, provenance=Provenance.LABEL if d is None
-                        else Provenance.DEFINITION, source_word=d or form))
-                    break
+            senses = sorted(
+                {ws for form in forms
+                 for ws, _ in _matching_senses(form, store)},
+                key=lambda ws: (ws.synset.offset, ws.lemma, ws.sense_number))
+            if senses:
+                mappings.append(Mapping(
+                    term=uri, relation=MappingRelation.RELATED,
+                    synset=store.synset_name(rng.choice(senses).synset),
+                    score=0.0, provenance=Provenance.LABEL if d is None
+                    else Provenance.DEFINITION, source_word=d or forms[0]))
     return MappingSet(mappings)

@@ -85,8 +85,8 @@ def normalize_definition(text: str, exclude: Iterable[str], store,
 
 
 def compound_candidates(label: str) -> list[str]:
-    """Lexical forms for a label: the full collocation first, then each
-    constituent token as a fallback for labels with several words."""
+    """A label's form, its collocation, then each of its tokens when it has
+    several: the strings that no term from its definition may be."""
     tokens = tokenize(label)
     if len(tokens) <= 1:
         return tokens

@@ -38,16 +38,18 @@ _SYNSET_NAME_RE = re.compile(r"^(.+)-noun-(\d+)$")
 
 
 class LoadError(ValueError):
-    """Raised when WordNet data cannot be loaded; names file and line."""
+    """Raised when WordNet data cannot be loaded; names file and line, or
+    the ``synset`` at fault, which the loader then locates in its input."""
 
     def __init__(self, message: str, source: str | None = None,
-                 line_no: int | None = None):
+                 line_no: int | None = None, synset: SynsetId | None = None):
         prefix = ""
         if source is not None:
             prefix = source if line_no is None else f"{source}, line {line_no}"
         super().__init__(f"{prefix}: {message}" if prefix else message)
         self.source = source
         self.line_no = line_no
+        self.synset = synset
 
 
 class SynsetId(NamedTuple):
@@ -66,9 +68,11 @@ class WordSense:
 
     def __post_init__(self):
         if self.sense_number < 1:
-            raise LoadError(f"sense number must be >= 1: {self.lemma}")
+            raise LoadError(f"sense number must be >= 1: {self.lemma}",
+                            synset=self.synset)
         if self.tag_frequency < 0:
-            raise LoadError(f"negative tag frequency: {self.lemma}")
+            raise LoadError(f"negative tag frequency: {self.lemma}",
+                            synset=self.synset)
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,7 +84,8 @@ class Synset:
 
     def __post_init__(self):
         if not self.senses:
-            raise LoadError(f"synset {self.id} has no word senses")
+            raise LoadError(f"synset {self.id} has no word senses",
+                            synset=self.id)
 
 
 class WordNetStore:
@@ -96,9 +101,11 @@ class WordNetStore:
         by_id: dict[SynsetId, Synset] = {}
         for syn in synsets:
             if syn.id.pos != "n":
-                raise LoadError(f"only noun synsets are supported: {syn.id}")
+                raise LoadError(f"only noun synsets are supported: {syn.id}",
+                                synset=syn.id)
             if syn.id in by_id:
-                raise LoadError(f"duplicate synset id: offset {syn.id.offset}")
+                raise LoadError(f"duplicate synset id: offset {syn.id.offset}",
+                                synset=syn.id)
             by_id[syn.id] = syn
         self.synsets = by_id
         self.exceptions = dict(exceptions or {})
@@ -109,7 +116,7 @@ class WordNetStore:
                 if ws.synset != syn.id:
                     raise LoadError(
                         f"sense {ws.lemma} carries synset id {ws.synset} "
-                        f"but lives in {syn.id}")
+                        f"but lives in {syn.id}", synset=syn.id)
                 lemma_index.setdefault(ws.lemma, []).append(ws)
         for lemma, senses in lemma_index.items():
             if len(senses) < 2:
@@ -119,7 +126,7 @@ class WordNetStore:
                 if prev.sense_number == ws.sense_number:
                     raise LoadError(
                         f"duplicate sense number {ws.sense_number} for "
-                        f"lemma {lemma!r}")
+                        f"lemma {lemma!r}", synset=ws.synset)
         self.lemma_index = {k: tuple(v) for k, v in lemma_index.items()}
 
         inverse: dict[SynsetId, list[SynsetId]] = {}
@@ -128,7 +135,7 @@ class WordNetStore:
                 if target not in by_id:
                     raise LoadError(
                         f"synset offset {syn.id.offset} has a {kind} relation "
-                        f"to unknown offset {target.offset}")
+                        f"to unknown offset {target.offset}", synset=syn.id)
                 if kind in CLOSURE_RELATIONS:
                     inverse.setdefault(target, []).append(syn.id)
         self._inverse = inverse
@@ -214,6 +221,62 @@ def _collector_paused():
 # ---------------------------------------------------------------------------
 # JSON fixture loader
 
+def _fixture_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise LoadError(f"{what} must be an integer, got {value!r}",
+                        source="fixture")
+    return value
+
+
+def _fixture_synset(entry, where: str) -> Synset:
+    """The synset of one fixture entry; ``where`` names the entry."""
+    if not isinstance(entry, dict):
+        raise LoadError(f"{where} must be an object", source="fixture")
+    offset = _fixture_int(entry.get("offset"), f"{where}.offset")
+    if offset < 0:
+        raise LoadError(f"{where}.offset must be >= 0", source="fixture")
+    sid = SynsetId("n", offset)
+    lemmas = entry.get("lemmas")
+    if not isinstance(lemmas, list) or not lemmas:
+        raise LoadError(f"{where}.lemmas must be a non-empty list",
+                        source="fixture")
+    senses = []
+    for j, item in enumerate(lemmas):
+        if not isinstance(item, dict) or not isinstance(item.get("lemma"), str):
+            raise LoadError(f"{where}.lemmas[{j}] must carry a 'lemma' string",
+                            source="fixture")
+        lemma = item["lemma"]
+        if not lemma or lemma != lemma.lower() or " " in lemma:
+            raise LoadError(
+                f"{where}.lemmas[{j}]: lemma must be lowercase with "
+                f"underscores, got {lemma!r}", source="fixture")
+        senses.append(WordSense(
+            lemma=lemma,
+            synset=sid,
+            sense_number=_fixture_int(item.get("sense_number", 1),
+                                      f"{where}.lemmas[{j}].sense_number"),
+            tag_frequency=_fixture_int(item.get("frequency", 0),
+                                       f"{where}.lemmas[{j}].frequency"),
+        ))
+    gloss = entry.get("gloss", "")
+    if not isinstance(gloss, str):
+        raise LoadError(f"{where}.gloss must be a string", source="fixture")
+    pairs = entry.get("relations", [])
+    if not isinstance(pairs, list):
+        raise LoadError(f"{where}.relations must be a list", source="fixture")
+    relations = []
+    for j, rel in enumerate(pairs):
+        if (not isinstance(rel, list) or len(rel) != 2
+                or not isinstance(rel[0], str)):
+            raise LoadError(
+                f"{where}.relations[{j}] must be a [kind, offset] pair",
+                source="fixture")
+        target = _fixture_int(rel[1], f"{where}.relations[{j}]")
+        relations.append((rel[0], SynsetId("n", target)))
+    return Synset(id=sid, senses=tuple(senses), gloss=gloss,
+                  relations=tuple(relations))
+
+
 @_collector_paused()
 def load_fixture(data: bytes | str) -> WordNetStore:
     """Build a store from the JSON fixture format.
@@ -229,70 +292,24 @@ def load_fixture(data: bytes | str) -> WordNetStore:
     if not isinstance(doc, dict) or not isinstance(doc.get("synsets"), list):
         raise LoadError("document must be an object with a 'synsets' list",
                         source="fixture")
-
-    def _int(value, what):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise LoadError(f"{what} must be an integer, got {value!r}",
-                            source="fixture")
-        return value
-
     synsets: list[Synset] = []
-    for i, entry in enumerate(doc["synsets"]):
-        where = f"synsets[{i}]"
-        if not isinstance(entry, dict):
-            raise LoadError(f"{where} must be an object", source="fixture")
-        offset = _int(entry.get("offset"), f"{where}.offset")
-        if offset < 0:
-            raise LoadError(f"{where}.offset must be >= 0", source="fixture")
-        sid = SynsetId("n", offset)
-        lemmas = entry.get("lemmas")
-        if not isinstance(lemmas, list) or not lemmas:
-            raise LoadError(f"{where}.lemmas must be a non-empty list",
+    try:
+        for i, entry in enumerate(doc["synsets"]):
+            synsets.append(_fixture_synset(entry, f"synsets[{i}]"))
+        exceptions = doc.get("exceptions", {})
+        if not isinstance(exceptions, dict) or not all(
+                isinstance(k, str) and isinstance(v, str)
+                for k, v in exceptions.items()):
+            raise LoadError("'exceptions' must map strings to strings",
                             source="fixture")
-        senses = []
-        for j, item in enumerate(lemmas):
-            if not isinstance(item, dict) or not isinstance(item.get("lemma"), str):
-                raise LoadError(f"{where}.lemmas[{j}] must carry a 'lemma' string",
-                                source="fixture")
-            lemma = item["lemma"]
-            if not lemma or lemma != lemma.lower() or " " in lemma:
-                raise LoadError(
-                    f"{where}.lemmas[{j}]: lemma must be lowercase with "
-                    f"underscores, got {lemma!r}", source="fixture")
-            senses.append(WordSense(
-                lemma=lemma,
-                synset=sid,
-                sense_number=_int(item.get("sense_number", 1),
-                                  f"{where}.lemmas[{j}].sense_number"),
-                tag_frequency=_int(item.get("frequency", 0),
-                                   f"{where}.lemmas[{j}].frequency"),
-            ))
-        gloss = entry.get("gloss", "")
-        if not isinstance(gloss, str):
-            raise LoadError(f"{where}.gloss must be a string", source="fixture")
-        pairs = entry.get("relations", [])
-        if not isinstance(pairs, list):
-            raise LoadError(f"{where}.relations must be a list",
-                            source="fixture")
-        relations = []
-        for j, rel in enumerate(pairs):
-            if (not isinstance(rel, list) or len(rel) != 2
-                    or not isinstance(rel[0], str)):
-                raise LoadError(
-                    f"{where}.relations[{j}] must be a [kind, offset] pair",
-                    source="fixture")
-            relations.append(
-                (rel[0], SynsetId("n", _int(rel[1], f"{where}.relations[{j}]"))))
-        synsets.append(Synset(id=sid, senses=tuple(senses), gloss=gloss,
-                              relations=tuple(relations)))
-
-    exceptions = doc.get("exceptions", {})
-    if not isinstance(exceptions, dict) or not all(
-            isinstance(k, str) and isinstance(v, str)
-            for k, v in exceptions.items()):
-        raise LoadError("'exceptions' must map strings to strings",
-                        source="fixture")
-    return WordNetStore(synsets, exceptions=exceptions)
+        return WordNetStore(synsets, exceptions=exceptions)
+    except LoadError as exc:
+        if exc.synset is None:
+            raise
+        # found only when a load fails: the last entry read with that offset
+        i = max(k for k, e in enumerate(doc["synsets"][:len(synsets) + 1])
+                if e["offset"] == exc.synset.offset)
+        raise LoadError(f"synsets[{i}]: {exc}", source="fixture") from None
 
 
 # ---------------------------------------------------------------------------
@@ -416,45 +433,38 @@ def load_wndb(index_noun: bytes, data_noun: bytes,
                             source="noun.exc", line_no=line_no)
         exceptions[fields[0].lower()] = fields[1].lower()
 
-    def error_at(offset: int, message: str) -> LoadError:
+    synsets: list[Synset] = []
+    try:
+        for offset, (words, gloss, rels) in entries.items():
+            sid = SynsetId("n", offset)
+            senses = []
+            for word in words:
+                offs = offsets_for.get(word)
+                if offs is None or offset not in offs:
+                    raise LoadError(f"word {word!r} of synset {offset} is "
+                                    "missing from index.noun", synset=sid)
+                sense_number = offs.index(offset) + 1
+                tag_frequency = counts.get((word, sense_number), 0)
+                if tag_frequency < 0:
+                    raise LoadError(f"negative tag frequency: {word}",
+                                    "cntlist.rev",
+                                    negative_at[(word, sense_number)])
+                senses.append(WordSense(
+                    lemma=word,
+                    synset=sid,
+                    sense_number=sense_number,
+                    tag_frequency=tag_frequency,
+                ))
+            synsets.append(Synset(id=sid, senses=tuple(senses), gloss=gloss,
+                                  relations=tuple(rels)))
+        return WordNetStore(synsets, exceptions=exceptions)
+    except LoadError as exc:
+        if exc.synset is None:
+            raise
         # only a failing load needs a synset's line, so data.noun is reread
         line_no = next(n for n, line in _data_lines(data_noun, "data.noun")
-                       if int(line.split(None, 1)[0]) == offset)
-        return LoadError(message, source="data.noun", line_no=line_no)
-
-    # the checks the store would make, made here to name the line at fault
-    synsets: list[Synset] = []
-    for offset, (words, gloss, rels) in entries.items():
-        sid = SynsetId("n", offset)
-        if not words:
-            raise error_at(offset, f"synset {sid} has no word senses")
-        senses = []
-        for k, word in enumerate(words):
-            offs = offsets_for.get(word)
-            if offs is None or offset not in offs:
-                raise error_at(offset, f"word {word!r} of synset {offset} is "
-                               "missing from index.noun")
-            sense_number = offs.index(offset) + 1
-            if word in words[:k]:
-                raise error_at(offset, f"duplicate sense number {sense_number} "
-                               f"for lemma {word!r}")
-            tag_frequency = counts.get((word, sense_number), 0)
-            if tag_frequency < 0:
-                raise LoadError(f"negative tag frequency: {word}", "cntlist.rev",
-                                negative_at[(word, sense_number)])
-            senses.append(WordSense(
-                lemma=word,
-                synset=sid,
-                sense_number=sense_number,
-                tag_frequency=tag_frequency,
-            ))
-        for kind, target in rels:
-            if target.offset not in entries:
-                raise error_at(offset, f"synset offset {offset} has a {kind} "
-                               f"relation to unknown offset {target.offset}")
-        synsets.append(Synset(id=sid, senses=tuple(senses), gloss=gloss,
-                              relations=tuple(rels)))
-    return WordNetStore(synsets, exceptions=exceptions)
+                       if int(line.split(None, 1)[0]) == exc.synset.offset)
+        raise LoadError(str(exc), "data.noun", line_no) from None
 
 
 def load_wndb_dir(path: str | Path) -> WordNetStore:
@@ -463,17 +473,9 @@ def load_wndb_dir(path: str | Path) -> WordNetStore:
     if not base.is_dir():
         raise LoadError(f"not a directory: {base}")
 
-    def _read(name: str, required: bool) -> bytes:
-        f = base / name
+    files = [base / name for name in
+             ("index.noun", "data.noun", "cntlist.rev", "noun.exc")]
+    for f in files[:2]:
         if not f.exists():
-            if required:
-                raise LoadError(f"missing required file: {f}")
-            return b""
-        return f.read_bytes()
-
-    return load_wndb(
-        index_noun=_read("index.noun", required=True),
-        data_noun=_read("data.noun", required=True),
-        cntlist_rev=_read("cntlist.rev", required=False),
-        noun_exc=_read("noun.exc", required=False),
-    )
+            raise LoadError(f"missing required file: {f}")
+    return load_wndb(*(f.read_bytes() if f.exists() else b"" for f in files))

@@ -9,6 +9,8 @@ and the data model with the production code, and uses no index shortcuts.
 
 from __future__ import annotations
 
+import random
+
 from vocmap.text import (
     compound_candidates,
     default_stopwords,
@@ -133,6 +135,42 @@ def oracle_map_vocabulary(vocabulary, store, ol_min=0, f_min=0,
             results.add((uri, "related", synset, round(sigma, 12),
                          "definition", d))
     return results
+
+
+def oracle_random_baseline(vocabulary, store, seed=0) -> set[tuple]:
+    """The random baseline in the oracle's tuple shape, by brute force.
+
+    For the preferred label, then each term extracted from the definition,
+    the forms of ``compound_candidates`` are walked in order; the first form
+    that some sense lexically matches yields one of its matching senses,
+    drawn with the term's own ``Random(f"{seed}:{uri}")``.  A triple met
+    twice keeps its first tuple.
+    """
+    stopwords = default_stopwords()
+    results: dict[tuple, tuple] = {}
+    for uri in sorted(vocabulary.terms):
+        term = vocabulary.terms[uri]
+        rng = random.Random(f"{seed}:{uri}")
+        exclude = set(compound_candidates(term.pref_label)) | {
+            lemmatize_noun(t, store) for t in tokenize(term.pref_label)}
+        passes = [(None, term.pref_label)] + [
+            (d, d) for d in extract_definition_terms(
+                term.definition, store, stopwords, exclude=exclude)]
+        for d, label in passes:
+            for form in compound_candidates(label):
+                senses = sorted(
+                    (sense for synset in store.synsets.values()
+                     for sense in synset.senses
+                     if lexical_match(sense.lemma, form) is not None),
+                    key=lambda s: (s.synset.offset, s.lemma, s.sense_number))
+                if not senses:
+                    continue
+                synset = store.synsets[rng.choice(senses).synset]
+                triple = (uri, "related", _synset_name(synset))
+                results.setdefault(triple, triple + (
+                    0.0, "label" if d is None else "definition", d or form))
+                break
+    return set(results.values())
 
 
 def mapping_set_tuples(mapping_set) -> set[tuple]:

@@ -216,6 +216,27 @@ class TestCmdSweep:
                            "5590b582e0594b924865a1dc6a0db2ba",
         }
 
+    @pytest.mark.parametrize("args, digests", [
+        (["baseline", "--kind", "random", "--seed", "42"], {
+            "mapping.nt": "a140144042dc037f45fd1345eb353c92"
+                          "8edfdf64f4a318063942b3f39972bca9",
+            "mapping.tsv": "3d61160924db47b65e50e99258a2d3ab"
+                           "db3166c6c344e67e0944df58ebbd8bc8"}),
+        (["map", "--taxonomy-roots", "{roots}", "--alt-labels"], {
+            "mapping.nt": "7e81da9ece911d4518c0da6bfeaaed41"
+                          "6796d7ddf7325a63e177cbc7e8991d1c",
+            "mapping.tsv": "00713b04caacfe2c56fd706a6a95aef0"
+                           "3a578456702ae12a40509b24aac20524"}),
+    ], ids=["random-baseline", "map-alt-labels"])
+    def test_fixture_mapping_bytes_are_pinned(self, paths, tmp_path, args,
+                                              digests):
+        out = tmp_path / "out"
+        assert main([arg.format(**paths) for arg in args]
+                    + ["--vocab", paths["vocab"], "--wordnet",
+                       paths["wordnet"], "--out", str(out)]) == 0
+        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in digests} == digests
+
     def test_summary_written(self, paths, tmp_path):
         out = tmp_path / "sum"
         assert main(["sweep", "--vocab", paths["vocab"],
@@ -438,6 +459,9 @@ class TestFailurePaths:
         ("map", "min_overlap 3\n", "absent.cfg, line 1"),
         ("sweep", "out = o\nworkers\n", "absent.cfg, line 2"),
         ("baseline", b"seed = \xff\n", "absent.cfg"),
+        # lines break at '\n' alone, so a form feed stays inside the value
+        ("map", "min_overlap = 1\x0cmin_frq = 2\n",
+         "min_overlap = '1\\x0cmin_frq = 2' is not a valid int"),
         ("map", None, "absent.cfg"),
         ("sweep", None, "absent.cfg"),
         ("baseline", None, "absent.cfg"),
@@ -535,7 +559,10 @@ class TestFailurePaths:
         for suffix, line_2, message in (
             ("", b"river\xff-noun-1", "not valid UTF-8"),
             ("-unknown-name", b"nosuch-noun-1",
-             "no such noun sense: 'nosuch-noun-1'"))
+             "no such noun sense: 'nosuch-noun-1'"),
+            # a form feed does not end a line
+            ("-form-feed", b"river-noun-1\x0cnosuch-noun-1",
+             "no such noun sense: 'river-noun-1\\x0cnosuch-noun-1'"))
         for command, flag in (("map", "--taxonomy-roots"),
                               ("sweep", "--taxonomy-roots"),
                               ("taxonomy", "--roots"))

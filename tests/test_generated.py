@@ -1,0 +1,103 @@
+"""The mapper and the random baseline against the brute-force references in
+tests/oracle.py, on small generated stores and vocabularies.
+
+Lemmas, glosses, labels and definitions all draw on one small word pool, so
+lexical matches, collocations and gloss overlaps are frequent.
+"""
+
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracle import (mapping_set_tuples, oracle_map_vocabulary,
+                    oracle_random_baseline)
+from vocmap.mapper import MapperConfig, map_vocabulary, random_baseline_mapping
+from vocmap.vocab import Term, Vocabulary
+from vocmap.wordnet import HYPONYM_OF, PART_MERONYM_OF, load_fixture
+
+WORDS = ("bay", "sea", "pool", "salt", "water", "power", "station", "mouse")
+# inflected forms the lemmatizer reduces, and stopwords it drops
+TEXT_WORDS = WORDS + ("pools", "seas", "stations", "mice", "the", "of", "a")
+# the grid's f_min values that tag counts can straddle
+F_MIN_VALUES = (0, 1, 2, 5, 10, 40)
+
+
+def _text(min_size, max_size):
+    return st.lists(st.sampled_from(TEXT_WORDS), min_size=min_size,
+                    max_size=max_size).map(" ".join)
+
+
+@st.composite
+def _stores(draw):
+    """A fixture document of 3-20 synsets with an acyclic relation graph."""
+    lemmas = st.one_of(
+        st.sampled_from(WORDS),
+        st.tuples(st.sampled_from(WORDS), st.sampled_from(WORDS))
+        .map("_".join))
+    senses_of: dict[str, int] = {}
+    synsets = []
+    for i in range(draw(st.integers(3, 20))):
+        entry_lemmas = []
+        for lemma in draw(st.lists(lemmas, min_size=1, max_size=3,
+                                   unique=True)):
+            senses_of[lemma] = senses_of.get(lemma, 0) + 1
+            entry_lemmas.append({
+                "lemma": lemma, "sense_number": senses_of[lemma],
+                "frequency": draw(st.sampled_from((0, 0, 0, 1, 3, 7, 50)))})
+        relations = [] if i == 0 else draw(st.lists(
+            st.tuples(st.sampled_from((HYPONYM_OF, PART_MERONYM_OF)),
+                      st.integers(1, i)).map(list), max_size=2))
+        synsets.append({"offset": i + 1, "lemmas": entry_lemmas,
+                        "gloss": draw(_text(0, 8)), "relations": relations})
+    exceptions = draw(st.sampled_from(({}, {"mice": "mouse"})))
+    return load_fixture(json.dumps({"synsets": synsets,
+                                    "exceptions": exceptions}))
+
+
+@st.composite
+def _cases(draw):
+    """A store, a vocabulary of 1-10 terms, and a taxonomy closure."""
+    store = draw(_stores())
+    lemma_text = st.sampled_from(sorted(store.lemma_index)).map(
+        lambda lemma: lemma.replace("_", " "))
+    # a store lemma, alone or inside a label of up to three words, matches
+    # it completely or partially
+    labels = st.one_of(
+        _text(1, 3).filter(str.strip), lemma_text,
+        st.tuples(_text(0, 1), lemma_text, _text(0, 1)).map(" ".join)
+        .filter(lambda label: len(label.split()) <= 3))
+    terms = [
+        Term(uri=f"http://example.org/t{k}", pref_label=draw(labels),
+             alt_labels=tuple(draw(st.lists(labels, max_size=2))),
+             definition=draw(st.one_of(st.none(), _text(0, 10))))
+        for k in range(draw(st.integers(1, 10)))]
+    roots = draw(st.lists(st.sampled_from(sorted(store.synsets)),
+                          min_size=1, max_size=2))
+    return store, Vocabulary(terms), store.taxonomy_closure(roots)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_cases(), ol_min=st.integers(0, 3),
+       f_min=st.sampled_from(F_MIN_VALUES))
+def test_mapper_equals_oracle_on_generated_stores(case, ol_min, f_min):
+    store, vocabulary, closure = case
+    for taxonomy in (None, closure):
+        got = mapping_set_tuples(map_vocabulary(
+            vocabulary, store,
+            MapperConfig(ol_min=ol_min, f_min=f_min, taxonomy=taxonomy)))
+        want = oracle_map_vocabulary(vocabulary, store, ol_min=ol_min,
+                                     f_min=f_min, taxonomy=taxonomy)
+        # a mapping set keeps the first of two passes that reach the same
+        # triple; the oracle's set keeps both
+        assert got <= want
+        assert {t[:3] for t in got} == {t[:3] for t in want}
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_cases(), seed=st.integers(0, 5))
+def test_random_baseline_equals_oracle_on_generated_stores(case, seed):
+    store, vocabulary, _ = case
+    assert mapping_set_tuples(random_baseline_mapping(
+        vocabulary, store, seed=seed)) == oracle_random_baseline(
+        vocabulary, store, seed=seed)

@@ -237,8 +237,8 @@ class TestFindSemanticMapping:
         assert mapping.synset == "swimming_pool-noun-1"
         assert mapping.source_word == "swimming_pool"
 
-    def test_compound_label_splits_without_collocation(self, mini_vocab,
-                                                       fixtures_dir):
+    def test_compound_label_matches_a_word_without_collocation(
+            self, mini_vocab, fixtures_dir):
         import json
         doc = json.loads((fixtures_dir / "wordnet_mini.json").read_text())
         doc["synsets"] = [s for s in doc["synsets"] if s["offset"] != 146]
@@ -248,6 +248,8 @@ class TestFindSemanticMapping:
         assert mapping is not None
         assert mapping.synset == "pool-noun-1"
         assert mapping.relation is MappingRelation.RELATED
+        # the word matched partially within the label's one form
+        assert mapping.source_word == "swimming_pool"
 
     def test_alt_labels_only_when_enabled(self, mini_store):
         term = Term(uri=BAY, pref_label="qqqq", alt_labels=("river",))

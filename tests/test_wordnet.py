@@ -93,6 +93,30 @@ class TestFixtureLoader:
                            match="duplicate sense number 3 for lemma 'bay'"):
             load_fixture(data)
 
+    @pytest.mark.parametrize("synsets, message", [
+        ([_simple_synset(1, "bay", relations=[(HYPONYM_OF, 99)])],
+         "fixture: synsets[0]: synset offset 1 has a hyponymOf relation to "
+         "unknown offset 99"),
+        ([_simple_synset(1, "sea"), _simple_synset(2, "bay"),
+          _simple_synset(3, "bay")],
+         "fixture: synsets[2]: duplicate sense number 1 for lemma 'bay'"),
+        ([_simple_synset(1, "sea"), _simple_synset(2, "bay", frequency=-1)],
+         "fixture: synsets[1]: negative tag frequency: bay"),
+        # a repeated offset: the entry named is the one read last
+        ([_simple_synset(1, "bay"), _simple_synset(1, "sea"),
+          _simple_synset(2, "cove")],
+         "fixture: synsets[1]: duplicate synset id: offset 1"),
+        ([_simple_synset(1, "bay"), _simple_synset(1, "sea", frequency=-1),
+          _simple_synset(1, "cove")],
+         "fixture: synsets[1]: negative tag frequency: sea"),
+    ], ids=["dangling-relation", "duplicate-sense-number",
+            "negative-frequency", "duplicate-offset",
+            "negative-frequency-at-repeated-offset"])
+    def test_fixture_store_errors_name_the_entry(self, synsets, message):
+        with pytest.raises(LoadError) as err:
+            load_fixture(_fixture_bytes(synsets))
+        assert str(err.value) == message
+
     def test_invalid_utf8_is_a_load_error(self):
         with pytest.raises(LoadError, match="invalid JSON"):
             load_fixture(b'{"synsets": [], "exceptions": {"\xff": "x"}}')
