@@ -174,7 +174,9 @@ class MappingSet:
 # N-Triples reading
 
 _IRI_REF = r"<([^\x00-\x20<>\"{}|^`\\]*)>"
-_TRIPLE_RE = re.compile(rf"^{_IRI_REF}\s+{_IRI_REF}\s+(.+?)\s*\.$")
+_IRI_RE = re.compile(_IRI_REF)
+# the object is the rest of the line up to its final '.': nothing backtracks
+_SUBJECT_PREDICATE_RE = re.compile(rf"{_IRI_REF}\s+{_IRI_REF}(\s+)")
 _LITERAL_RE = re.compile(
     r'^"((?:[^"\\]|\\.)*)"(?:@([A-Za-z]+(?:-[A-Za-z0-9]+)*)|\^\^<[^<>\s]*>)?$'
 )
@@ -188,6 +190,8 @@ _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
 def _unescape(text: str, line_no: int) -> str:
+    if "\\" not in text:
+        return text
     out: list[str] = []
     i = 0
     while i < len(text):
@@ -235,12 +239,16 @@ def _iter_triples(data: bytes | str):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        m = _TRIPLE_RE.match(line)
-        if not m:
+        m = _SUBJECT_PREDICATE_RE.match(line)
+        if not m or line[-1] != ".":
             raise ParseError("malformed triple", line_no)
-        subject, predicate, obj_text = m.groups()
+        subject, predicate, space = m.groups()
+        obj_text = line[m.end():-1].rstrip()
+        # a lone '.' after two or more spaces reads the last space as object
+        if not obj_text and len(space) < 2:
+            raise ParseError("malformed triple", line_no)
         if obj_text.startswith("<"):
-            om = re.fullmatch(_IRI_REF, obj_text)
+            om = _IRI_RE.fullmatch(obj_text)
             if not om:
                 raise ParseError("malformed object IRI", line_no)
             obj = ("iri", om.group(1))

@@ -199,11 +199,12 @@ def _collector_paused():
     Nearly every object a load allocates survives into the store, so the
     collector's passes during a load find nothing to reclaim; on a store
     of WordNet size they cost a third to a half of the load.  When the
-    caller's collector was on, one full pass runs at the end, so the
-    survivors reach the oldest generation at once instead of being
-    traversed again by the caller's next young collections.  A load that
-    allocated fewer objects than it takes the running collector to reach
-    a full pass (the product of the three thresholds) skips that pass.
+    caller's collector was on, the load ends with ``gc.freeze()``, which
+    moves every tracked object to a generation no later collection walks.
+    The one cost: a garbage cycle that already exists then is never
+    collected.  A load that allocated fewer objects than it takes the
+    running collector to reach a full pass (the product of the three
+    thresholds) freezes nothing.
     """
     was_enabled = gc.isenabled()
     gc.disable()
@@ -215,7 +216,7 @@ def _collector_paused():
             t0, t1, t2 = gc.get_threshold()
             gc.enable()
             if t0 and allocated >= t0 * t1 * t2:
-                gc.collect()
+                gc.freeze()
 
 
 # ---------------------------------------------------------------------------
@@ -251,13 +252,11 @@ def _fixture_synset(entry, where: str) -> Synset:
                 f"{where}.lemmas[{j}]: lemma must be lowercase with "
                 f"underscores, got {lemma!r}", source="fixture")
         senses.append(WordSense(
-            lemma=lemma,
-            synset=sid,
-            sense_number=_fixture_int(item.get("sense_number", 1),
-                                      f"{where}.lemmas[{j}].sense_number"),
-            tag_frequency=_fixture_int(item.get("frequency", 0),
-                                       f"{where}.lemmas[{j}].frequency"),
-        ))
+            lemma, sid,
+            _fixture_int(item.get("sense_number", 1),
+                         f"{where}.lemmas[{j}].sense_number"),
+            _fixture_int(item.get("frequency", 0),
+                         f"{where}.lemmas[{j}].frequency")))
     gloss = entry.get("gloss", "")
     if not isinstance(gloss, str):
         raise LoadError(f"{where}.gloss must be a string", source="fixture")
@@ -273,8 +272,7 @@ def _fixture_synset(entry, where: str) -> Synset:
                 source="fixture")
         target = _fixture_int(rel[1], f"{where}.relations[{j}]")
         relations.append((rel[0], SynsetId("n", target)))
-    return Synset(id=sid, senses=tuple(senses), gloss=gloss,
-                  relations=tuple(relations))
+    return Synset(sid, tuple(senses), gloss, tuple(relations))
 
 
 @_collector_paused()
@@ -325,11 +323,19 @@ def _data_lines(data: bytes, source: str):
                             ) from exc
     else:
         text = data
+    # the Princeton data and index files open with an indented license
+    # block; no other indented line is skipped
+    in_license = source in ("data.noun", "index.noun")
     for line_no, raw in enumerate(text.split("\n"), start=1):
-        # the Princeton files open with a license block indented by spaces
-        if not raw.strip() or raw.startswith(" "):
+        if not raw or raw.isspace():
             continue
-        yield line_no, raw.rstrip("\n")
+        if raw[0] == " ":
+            if in_license:
+                continue
+            raise LoadError("indented line outside the license block",
+                            source, line_no)
+        in_license = False
+        yield line_no, raw
 
 
 @_collector_paused()
@@ -342,31 +348,29 @@ def load_wndb(index_noun: bytes, data_noun: bytes,
     load error.  Every error names the file and line at fault.
     """
     # data.noun: offset lex_filenum ss_type w_cnt (word lex_id)+ p_cnt ptr* | gloss
-    entries: dict[int, tuple] = {}  # offset: (words, gloss, relations)
+    entries: dict[int, tuple] = {}  # offset: (id, words, gloss, relations)
+    # one id per offset, shared by its data line and every pointer to it
+    ids: dict[int, SynsetId] = {}
     for line_no, line in _data_lines(data_noun, "data.noun"):
         head, _, gloss = line.partition("|")
         fields = head.split()
         try:
             offset = int(fields[0])
-            ss_type = fields[2]
-            if ss_type != "n":
+            if fields[2] != "n":
                 raise LoadError("not a noun synset line",
                                 source="data.noun", line_no=line_no)
             w_cnt = int(fields[3], 16)  # word count is hexadecimal
             words = [fields[4 + 2 * k].lower() for k in range(w_cnt)]
             p_idx = 4 + 2 * w_cnt
-            p_cnt = int(fields[p_idx])
             rels: list[tuple[str, SynsetId]] = []
-            for k in range(p_cnt):
-                symbol = fields[p_idx + 1 + 4 * k]
-                target = int(fields[p_idx + 2 + 4 * k])
-                target_pos = fields[p_idx + 3 + 4 * k]
-                if target_pos != "n":
-                    continue
-                kind = _POINTER_KINDS.get(symbol, symbol)
-                pair = (kind, SynsetId("n", target))
-                if pair not in rels:
-                    rels.append(pair)
+            for k in range(p_idx + 1, p_idx + 1 + 4 * int(fields[p_idx]), 4):
+                target = int(fields[k + 1])
+                if fields[k + 2] == "n":
+                    sid = ids.get(target) or ids.setdefault(
+                        target, SynsetId("n", target))
+                    pair = (_POINTER_KINDS.get(fields[k], fields[k]), sid)
+                    if pair not in rels:
+                        rels.append(pair)
         except LoadError:
             raise
         except (IndexError, ValueError) as exc:
@@ -375,7 +379,9 @@ def load_wndb(index_noun: bytes, data_noun: bytes,
         if offset in entries:
             raise LoadError(f"duplicate synset offset {offset}",
                             source="data.noun", line_no=line_no)
-        entries[offset] = (words, gloss.strip(), rels)
+        sid = ids.get(offset) or ids.setdefault(offset, SynsetId("n", offset))
+        entries[offset] = (sid, words, gloss.strip(), tuple(rels))
+    del ids  # lowers the peak memory of the load
 
     # index.noun: lemma pos synset_cnt p_cnt sym* sense_cnt tagsense_cnt offset+
     offsets_for: dict[str, list[int]] = {}
@@ -435,12 +441,11 @@ def load_wndb(index_noun: bytes, data_noun: bytes,
 
     synsets: list[Synset] = []
     try:
-        for offset, (words, gloss, rels) in entries.items():
-            sid = SynsetId("n", offset)
+        for offset, (sid, words, gloss, rels) in entries.items():
             senses = []
             for word in words:
-                offs = offsets_for.get(word)
-                if offs is None or offset not in offs:
+                offs = offsets_for.get(word, ())
+                if offset not in offs:
                     raise LoadError(f"word {word!r} of synset {offset} is "
                                     "missing from index.noun", synset=sid)
                 sense_number = offs.index(offset) + 1
@@ -449,14 +454,9 @@ def load_wndb(index_noun: bytes, data_noun: bytes,
                     raise LoadError(f"negative tag frequency: {word}",
                                     "cntlist.rev",
                                     negative_at[(word, sense_number)])
-                senses.append(WordSense(
-                    lemma=word,
-                    synset=sid,
-                    sense_number=sense_number,
-                    tag_frequency=tag_frequency,
-                ))
-            synsets.append(Synset(id=sid, senses=tuple(senses), gloss=gloss,
-                                  relations=tuple(rels)))
+                senses.append(WordSense(word, sid, sense_number,
+                                        tag_frequency))
+            synsets.append(Synset(sid, tuple(senses), gloss, rels))
         return WordNetStore(synsets, exceptions=exceptions)
     except LoadError as exc:
         if exc.synset is None:

@@ -5,11 +5,16 @@ word sense, naive containment matching), the three filters, direct rank and
 salience computation, best-candidate selection, relation assignment, and the
 two-pass vocabulary driver.  It shares only the text-normalization helpers
 and the data model with the production code, and uses no index shortcuts.
+
+It also keeps the N-Triples line reader as a single backtracking pattern
+and the escape decoder as a plain character loop, the reference for the
+linear-time reader in ``vocmap.vocab``.
 """
 
 from __future__ import annotations
 
 import random
+import re
 
 from vocmap.text import (
     compound_candidates,
@@ -19,6 +24,7 @@ from vocmap.text import (
     normalize_definition,
     tokenize,
 )
+from vocmap.vocab import ParseError
 
 
 def lexical_match(lemma: str, label: str) -> str | None:
@@ -180,3 +186,72 @@ def mapping_set_tuples(mapping_set) -> set[tuple]:
          m.provenance.value, m.source_word)
         for m in mapping_set
     }
+
+
+# ---------------------------------------------------------------------------
+# N-Triples line reading: one pattern, which backtracks on long whitespace
+
+_IRI_REF = r"<([^\x00-\x20<>\"{}|^`\\]*)>"
+_TRIPLE_RE = re.compile(rf"^{_IRI_REF}\s+{_IRI_REF}\s+(.+?)\s*\.$")
+_LITERAL_RE = re.compile(
+    r'^"((?:[^"\\]|\\.)*)"(?:@([A-Za-z]+(?:-[A-Za-z0-9]+)*)|\^\^<[^<>\s]*>)?$'
+)
+_PLAIN_ESCAPES = {
+    "t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
+    '"': '"', "'": "'", "\\": "\\",
+}
+_UCHAR_WIDTHS = {"u": 4, "U": 8}
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+
+
+def oracle_unescape(text: str, line_no: int) -> str:
+    """Decode N-Triples escapes one character at a time."""
+    out: list[str] = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch != "\\":
+            out.append(ch)
+            i += 1
+            continue
+        esc = text[i + 1]
+        if esc in _UCHAR_WIDTHS:
+            width = _UCHAR_WIDTHS[esc]
+            digits = text[i + 2:i + 2 + width]
+            if len(digits) != width or not _HEX_DIGITS.issuperset(digits):
+                raise ParseError(f"\\{esc} needs exactly {width} hex digits",
+                                 line_no)
+            code = int(digits, 16)
+            if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+                raise ParseError(f"\\{esc}{digits} is not a Unicode scalar "
+                                 "value", line_no)
+            out.append(chr(code))
+            i += 2 + width
+        elif esc in _PLAIN_ESCAPES:
+            out.append(_PLAIN_ESCAPES[esc])
+            i += 2
+        else:
+            raise ParseError(f"unknown escape sequence \\{esc}", line_no)
+    return "".join(out)
+
+
+def oracle_triple(line: str, line_no: int = 1):
+    """(subject, predicate, object) of one stripped, non-comment line, in
+    the shape ``vocab._iter_triples`` yields, or its ``ParseError``."""
+    m = _TRIPLE_RE.match(line)
+    if not m:
+        raise ParseError("malformed triple", line_no)
+    subject, predicate, obj_text = m.groups()
+    if obj_text.startswith("<"):
+        om = re.fullmatch(_IRI_REF, obj_text)
+        if not om:
+            raise ParseError("malformed object IRI", line_no)
+        obj = ("iri", om.group(1))
+    elif obj_text.startswith('"'):
+        om = _LITERAL_RE.match(obj_text)
+        if not om:
+            raise ParseError("malformed literal", line_no)
+        obj = ("literal", oracle_unescape(om.group(1), line_no), om.group(2))
+    else:
+        raise ParseError("object must be an IRI or a literal", line_no)
+    return subject, predicate, obj

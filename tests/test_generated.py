@@ -1,5 +1,6 @@
 """The mapper and the random baseline against the brute-force references in
-tests/oracle.py, on small generated stores and vocabularies.
+tests/oracle.py, on small generated stores and vocabularies; and the WNDB
+loader against the fixture loader on the same generated stores.
 
 Lemmas, glosses, labels and definitions all draw on one small word pool, so
 lexical matches, collocations and gloss overlaps are frequent.
@@ -14,7 +15,8 @@ from oracle import (mapping_set_tuples, oracle_map_vocabulary,
                     oracle_random_baseline)
 from vocmap.mapper import MapperConfig, map_vocabulary, random_baseline_mapping
 from vocmap.vocab import Term, Vocabulary
-from vocmap.wordnet import HYPONYM_OF, PART_MERONYM_OF, load_fixture
+from vocmap.wordnet import (HYPONYM_OF, PART_MERONYM_OF, load_fixture,
+                            load_wndb)
 
 WORDS = ("bay", "sea", "pool", "salt", "water", "power", "station", "mouse")
 # inflected forms the lemmatizer reduces, and stopwords it drops
@@ -29,7 +31,7 @@ def _text(min_size, max_size):
 
 
 @st.composite
-def _stores(draw):
+def _documents(draw):
     """A fixture document of 3-20 synsets with an acyclic relation graph."""
     lemmas = st.one_of(
         st.sampled_from(WORDS),
@@ -51,14 +53,16 @@ def _stores(draw):
         synsets.append({"offset": i + 1, "lemmas": entry_lemmas,
                         "gloss": draw(_text(0, 8)), "relations": relations})
     exceptions = draw(st.sampled_from(({}, {"mice": "mouse"})))
-    return load_fixture(json.dumps({"synsets": synsets,
-                                    "exceptions": exceptions}))
+    return {"synsets": synsets, "exceptions": exceptions}
+
+
+_stores = _documents().map(lambda doc: load_fixture(json.dumps(doc)))
 
 
 @st.composite
 def _cases(draw):
     """A store, a vocabulary of 1-10 terms, and a taxonomy closure."""
-    store = draw(_stores())
+    store = draw(_stores)
     lemma_text = st.sampled_from(sorted(store.lemma_index)).map(
         lambda lemma: lemma.replace("_", " "))
     # a store lemma, alone or inside a label of up to three words, matches
@@ -101,3 +105,48 @@ def test_random_baseline_equals_oracle_on_generated_stores(case, seed):
     assert mapping_set_tuples(random_baseline_mapping(
         vocabulary, store, seed=seed)) == oracle_random_baseline(
         vocabulary, store, seed=seed)
+
+
+_POINTER_SYMBOLS = {HYPONYM_OF: "@", PART_MERONYM_OF: "#p"}
+
+
+def _wndb_files(doc):
+    """The fixture document rendered as WNDB index.noun, data.noun,
+    cntlist.rev and noun.exc, each data and index file under a license
+    block."""
+    data, offsets_of, counts = ["  1 license"], {}, []
+    for entry in doc["synsets"]:
+        words = " ".join(f"{item['lemma']} 0" for item in entry["lemmas"])
+        pointers = "".join(f" {_POINTER_SYMBOLS[kind]} {target:08d} n 0000"
+                           for kind, target in entry["relations"])
+        data.append(f"{entry['offset']:08d} 03 n {len(entry['lemmas']):02x} "
+                    f"{words} {len(entry['relations']):03d}{pointers} | "
+                    f"{entry['gloss']}")
+        for item in entry["lemmas"]:
+            offsets_of.setdefault(item["lemma"], []).append(entry["offset"])
+            if item["frequency"]:
+                counts.append(f"{item['lemma']}%1:03:00:: "
+                              f"{item['sense_number']} {item['frequency']}")
+    index = ["  1 license"] + [
+        f"{lemma} n {len(offs)} 0 {len(offs)} 0 "
+        + " ".join(f"{off:08d}" for off in offs)
+        for lemma, offs in sorted(offsets_of.items())]
+    exc = [f"{k} {v}" for k, v in doc["exceptions"].items()]
+    return ["\n".join(lines + [""]).encode()
+            for lines in (index, data, counts, exc)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(doc=_documents())
+def test_wndb_and_fixture_loaders_agree_on_generated_stores(doc):
+    # the WNDB loader keeps each (kind, target) pointer once
+    for entry in doc["synsets"]:
+        entry["relations"] = [list(rel) for rel in
+                              dict.fromkeys(map(tuple, entry["relations"]))]
+    from_wndb = load_wndb(*_wndb_files(doc))
+    from_json = load_fixture(json.dumps(doc))
+    # synsets in order, each with its senses in order, tag counts, gloss and
+    # relations
+    assert list(from_wndb.synsets.items()) == list(from_json.synsets.items())
+    assert from_wndb.lemma_index == from_json.lemma_index
+    assert from_wndb.exceptions == from_json.exceptions

@@ -1,11 +1,13 @@
 """Vocabulary parsing and mapping serialization."""
 
+import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import oracle_triple, oracle_unescape
 from vocmap.vocab import (
     WN20_SYNSET_NS,
     Mapping,
@@ -14,6 +16,8 @@ from vocmap.vocab import (
     ParseError,
     Provenance,
     Term,
+    _iter_triples,
+    _unescape,
     load_gold,
     parse_vocabulary_ntriples,
     serialize_mappings_ntriples,
@@ -186,6 +190,93 @@ class TestParseVocabulary:
             parse_vocabulary_ntriples(data)
         except ParseError:
             pass
+
+
+# N-Triples lines built from valid and broken parts, so that short random
+# lines reach every branch of the reader
+_IRI_PARTS = st.sampled_from([f"<{BAY}>", f"<{SKOS}prefLabel>", "<rel/x>",
+                              "<a b>", "<", "", "x"])
+_SPACE_PARTS = st.sampled_from(["", " ", "  ", "\t", " \u3000 ", "\u00a0"])
+_OBJECT_PARTS = st.sampled_from([
+    "<x:y>", "<", ">", '"', '"bay"', '"a b"', "@en", "@en-GB", "@", "^^<x>",
+    "^^", "\\", '\\"', "\\u0041", "\\n", "\\q", ".", " ", "#", "_:b"])
+_END_PARTS = st.sampled_from([".", " .", "  .", "", ". .", ".x", " "])
+_short_lines = st.one_of(
+    st.tuples(_IRI_PARTS, _SPACE_PARTS, _IRI_PARTS, _SPACE_PARTS,
+              st.sampled_from(['"bay"@en', "<x:y>"])
+              | st.lists(_OBJECT_PARTS, max_size=4).map("".join),
+              _SPACE_PARTS, _END_PARTS).map("".join),
+    st.text(max_size=20).map(lambda line: line.replace("\n", " ")),
+)
+
+# literal bodies as the literal pattern yields them: a backslash is always
+# followed by one character
+_ESCAPES = st.sampled_from([
+    "\\t", "\\b", "\\n", "\\r", "\\f", '\\"', "\\'", "\\\\",
+    "\\q", "\\u", "\\U", "\\u00e9", "\\u00E", "\\uD800",
+    "\\U0001F30A", "\\U0011FFFF", "\\U0000_041", "0", "A", "f"])
+_literal_bodies = st.lists(
+    st.one_of(_ESCAPES, st.text(max_size=4).map(
+        lambda text: text.replace("\\", "").replace("\n", ""))),
+    max_size=8).map("".join)
+
+
+def _outcome(read, *args):
+    try:
+        return read(*args)
+    except ParseError as exc:
+        return ("error", str(exc))
+
+
+def _read_line(line):
+    triples = list(_iter_triples(line))
+    return triples[0][1:] if triples else None
+
+
+def _oracle_line(line):
+    line = line.strip()
+    if not line or line.startswith("#"):
+        return None
+    return oracle_triple(line)
+
+
+class TestReaderAgainstOracle:
+    """The linear-time reader accepts and rejects what the single
+    backtracking pattern in tests/oracle.py does, with the same values and
+    the same messages."""
+
+    @settings(max_examples=300)
+    @given(_short_lines)
+    def test_short_lines(self, line):
+        assert _outcome(_read_line, line) == _outcome(_oracle_line, line)
+
+    @given(_literal_bodies)
+    def test_short_literal_objects(self, body):
+        line = f'<{BAY}> <{SKOS}prefLabel> "{body}" .'
+        assert _outcome(_read_line, line) == _outcome(_oracle_line, line)
+
+    @given(_literal_bodies)
+    def test_unescape(self, body):
+        assert _outcome(_unescape, body, 1) == _outcome(oracle_unescape,
+                                                         body, 1)
+
+    @pytest.mark.parametrize("line, message", [
+        # the single pattern takes cubic time on this shape: about 1 s at
+        # a thousand spaces
+        (f"<{BAY}> <{SKOS}prefLabel>" + " " * 1_000_000 + "y",
+         "malformed triple"),
+        (f'<{BAY}> <{SKOS}prefLabel> "a"' + " " * 1_000_000 + "y",
+         "malformed triple"),
+        (f'<{BAY}> <{SKOS}prefLabel> "a' + " " * 1_000_000 + "y .",
+         "malformed literal"),
+    ], ids=["spaces-after-predicate", "spaces-after-literal",
+            "spaces-in-open-literal"])
+    def test_malformed_megabyte_line_is_rejected_in_linear_time(
+            self, line, message):
+        started = time.perf_counter()
+        with pytest.raises(ParseError, match=f"^line 1: {message}$"):
+            parse_vocabulary_ntriples(line + "\n")
+        assert time.perf_counter() - started < 5.0
 
 
 def _mapping(term_suffix, relation, synset, score=1.0):

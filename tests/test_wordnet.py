@@ -239,18 +239,30 @@ class TestWndbLoader:
     def test_fixture_and_wndb_loaders_are_interchangeable(self, fixtures_dir):
         from_wndb = load_wndb_dir(fixtures_dir / "wndb")
         from_json = load_fixture((fixtures_dir / "wndb_equiv.json").read_bytes())
-        assert set(from_wndb.lemma_index) == set(from_json.lemma_index)
-        for lemma in from_wndb.lemma_index:
-            a = [(ws.lemma, ws.synset, ws.sense_number, ws.tag_frequency)
-                 for ws in from_wndb.lookup_senses(lemma)]
-            b = [(ws.lemma, ws.synset, ws.sense_number, ws.tag_frequency)
-                 for ws in from_json.lookup_senses(lemma)]
-            assert a == b
-        for sid in from_wndb.synsets:
-            assert from_wndb.gloss(sid) == from_json.gloss(sid)
-        assert (from_wndb.taxonomy_closure([_sid(130)])
-                == from_json.taxonomy_closure([_sid(130)]))
+        # synsets in order, with senses, tag counts, glosses and relations
+        assert list(from_wndb.synsets.items()) \
+            == list(from_json.synsets.items())
+        assert from_wndb.lemma_index == from_json.lemma_index
         assert from_wndb.exceptions == from_json.exceptions
+
+    def test_pointers_share_their_target_synset_id(self, fixtures_dir):
+        store = load_wndb_dir(fixtures_dir / "wndb")
+        for synset in store.synsets.values():
+            for _, target in synset.relations:
+                assert target is store.synsets[target].id
+
+    # data.noun and index.noun open with a license block, so their first
+    # record ends it; cntlist.rev and noun.exc have none
+    @pytest.mark.parametrize("name, line_no", [
+        ("data.noun", 4), ("index.noun", 3), ("cntlist.rev", 1),
+        ("noun.exc", 2)])
+    def test_indented_line_outside_the_license_block(self, name, line_no):
+        lines = _WNDB[name].split(b"\n")
+        lines[line_no - 1] = b" " + lines[line_no - 1]
+        with pytest.raises(LoadError) as err:
+            load_wndb(**_wndb_args(name, b"\n".join(lines)))
+        assert str(err.value) == (f"{name}, line {line_no}: indented line "
+                                  "outside the license block")
 
 
 class TestLemmaIndex:
@@ -468,7 +480,7 @@ class TestCollectorPaused:
         _load_mini_fixture(fixtures_dir)
         assert 2 not in collections
 
-    def test_large_load_makes_exactly_one_full_collection(
+    def test_large_load_freezes_instead_of_collecting(
             self, gc_state, collections):
         # thresholds low enough that this load counts as a large one
         data = _fixture_bytes([_simple_synset(n, f"w{n}", gloss=f"g {n}")
@@ -476,8 +488,14 @@ class TestCollectorPaused:
         gc.set_threshold(1000, 1, 1)
         gc.collect()
         collections.clear()
-        load_fixture(data)
-        assert collections.count(2) == 1
+        frozen = gc.get_freeze_count()
+        try:
+            store = load_fixture(data)
+            assert 2 not in collections
+            assert gc.get_freeze_count() > frozen
+        finally:
+            gc.unfreeze()
+        assert len(store) == 500
 
 
 class TestStoreValidation:
