@@ -59,7 +59,7 @@ class MapperConfig:
             raise ValueError("f_min must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Candidate:
     """A surviving (synset, word sense) pair with its indicator values."""
 
@@ -70,32 +70,27 @@ class Candidate:
     ol: int
 
 
-def _matching_senses(label: str, store: WordNetStore):
-    """All (sense, kind) pairs whose lemma lexically matches the label:
-    complete when its tokens equal the label's, partial when they are a
-    contiguous run of them.  Every such run is looked up in the lemma
-    index."""
+def _matching_lemmas(label: str) -> list[tuple[str, MatchKind]]:
+    """The strings that a lemma lexically matching the label must be, each
+    once, with its kind: the label's tokens joined by '_' (complete), and
+    every shorter contiguous run of them (partial), by start, then by
+    length."""
     tokens = tokenize(label)
-    matches: list[tuple[WordSense, MatchKind]] = []
-    tried: set[str] = set()
-    for i in range(len(tokens)):
-        for j in range(i + 1, len(tokens) + 1):
-            lemma = "_".join(tokens[i:j])
-            if lemma in tried:
-                continue
-            tried.add(lemma)
-            kind = MatchKind.COMPLETE if (i == 0 and j == len(tokens)) \
-                else MatchKind.PARTIAL
-            for ws in store.lookup_senses(lemma):
-                matches.append((ws, kind))
-    return matches
+    n = len(tokens)
+    runs: dict[str, MatchKind] = {}
+    for i in range(n):
+        for j in range(i + 1, n + 1):
+            runs.setdefault("_".join(tokens[i:j]),
+                            MatchKind.COMPLETE if (i == 0 and j == n)
+                            else MatchKind.PARTIAL)
+    return list(runs.items())
 
 
 def _passes(term: Term, store: WordNetStore, stopwords: frozenset[str],
             use_alt_labels: bool):
     """The passes of a term as (definition term or None, label, forms).
 
-    A label has one form, its tokens joined by '_'; ``_matching_senses``
+    A label has one form, its tokens joined by '_'; ``_matching_lemmas``
     finds each run of its words in it, so no word needs a form of its own.
     First the label pass: the form of the preferred label, then (when
     enabled) of each alternative label, without repeats.  Then one pass per term extracted from the
@@ -119,15 +114,54 @@ class CandidateTable:
     its forms in order, each with the lexically matched senses that pass the
     floor's three filters.  ``select`` maps the vocabulary under any config
     at or above the floor by only filtering, picking and ranking those rows.
+
+    What does not depend on the term is found once per distinct string and
+    kept for the table's life: each lemma's senses that pass the floor's
+    taxonomy and frequency filters, with their gloss bags, and each label's
+    lemma set.  A pass computes only its rows' overlaps.
     """
 
     def __init__(self, vocabulary, store: WordNetStore, floor: MapperConfig):
         self.store = store
         self.floor = floor
         self._gloss_bags: dict[SynsetId, frozenset[str]] = {}
+        self._floor_senses: dict[
+            str, tuple[tuple[WordSense, frozenset[str]], ...]] = {}
+        self._label_lemmas: dict[str, frozenset[str]] = {}
         self.terms: list[tuple[str, tuple]] = [
             (uri, tuple(self.passes(vocabulary.terms[uri])))
             for uri in sorted(vocabulary.terms)]
+
+    def _senses_of(self, lemma: str
+                   ) -> tuple[tuple[WordSense, frozenset[str]], ...]:
+        """The lemma's senses that pass the floor's taxonomy and frequency
+        filters, in sense order, each with its gloss bag; a gloss is
+        normalized only for a sense that passes."""
+        senses = self._floor_senses.get(lemma)
+        if senses is None:
+            store, floor, gloss_bags = self.store, self.floor, self._gloss_bags
+            kept = []
+            for ws in store.lookup_senses(lemma):
+                sid = ws.synset
+                if (floor.taxonomy is not None and sid not in floor.taxonomy
+                        or ws.tag_frequency < floor.f_min):
+                    continue
+                bag = gloss_bags.get(sid)
+                if bag is None:
+                    bag = gloss_bags[sid] = normalize_definition(
+                        store.gloss(sid), (), store, default_stopwords())
+                kept.append((ws, bag))
+            senses = self._floor_senses[lemma] = tuple(kept)
+        return senses
+
+    def _lemmas_of(self, label: str) -> frozenset[str]:
+        """The lemmas of a label's tokens, which its pass excludes from the
+        term's definition bag."""
+        lemmas = self._label_lemmas.get(label)
+        if lemmas is None:
+            lemmas = self._label_lemmas[label] = frozenset(
+                lemmatize_noun(t, self.store) for t in tokenize(label))
+        return lemmas
 
     def passes(self, term: Term, label_forms: Sequence[str] | None = None):
         """Yield (definition term or None, forms) for each pass of a term,
@@ -140,34 +174,26 @@ class CandidateTable:
         minus ``exclude``, so the passes of a term share its definition bag
         and each subtracts the lemmas of the label it maps.
         """
-        store, floor, gloss_bags = self.store, self.floor, self._gloss_bags
+        store, ol_min = self.store, self.floor.ol_min
         stopwords = default_stopwords()
         definition_bag = normalize_definition(term.definition or "", (),
                                               store, stopwords)
         for d, label, forms in _passes(term, store, stopwords,
-                                       floor.use_alt_labels):
+                                       self.floor.use_alt_labels):
             if d is None and label_forms is not None:
                 forms = label_forms
-            term_bag = definition_bag - {lemmatize_noun(t, store)
-                                         for t in tokenize(label)}
+            term_bag = definition_bag - self._lemmas_of(label)
             kept = []
             for form in forms:
                 rows = []
-                for ws, kind in _matching_senses(form, store):
-                    sid = ws.synset
-                    if (floor.taxonomy is not None
-                            and sid not in floor.taxonomy
-                            or ws.tag_frequency < floor.f_min):
-                        continue
-                    # a gloss is normalized only for a sense that can pass
-                    if sid not in gloss_bags:
-                        gloss_bags[sid] = normalize_definition(
-                            store.gloss(sid), (), store, stopwords)
-                    ol = len(term_bag & gloss_bags[sid])
-                    if ol >= floor.ol_min:
-                        rows.append(Candidate(synset=sid, word_sense=ws,
-                                              match_kind=kind,
-                                              f=ws.tag_frequency, ol=ol))
+                for lemma, kind in _matching_lemmas(form):
+                    for ws, gloss_bag in self._senses_of(lemma):
+                        # the one value that depends on the term
+                        ol = len(term_bag & gloss_bag)
+                        if ol >= ol_min:
+                            rows.append(Candidate(
+                                synset=ws.synset, word_sense=ws,
+                                match_kind=kind, f=ws.tag_frequency, ol=ol))
                 if rows:
                     kept.append((form, rows, max(c.f for c in rows),
                                  max(c.ol for c in rows)))
@@ -322,8 +348,8 @@ def random_baseline_mapping(vocabulary, store: WordNetStore,
         for d, _, forms in _passes(vocabulary.terms[uri], store, stopwords,
                                    use_alt_labels=False):
             senses = sorted(
-                {ws for form in forms
-                 for ws, _ in _matching_senses(form, store)},
+                {ws for form in forms for lemma, _ in _matching_lemmas(form)
+                 for ws in store.lookup_senses(lemma)},
                 key=lambda ws: (ws.synset.offset, ws.lemma, ws.sense_number))
             if senses:
                 mappings.append(Mapping(

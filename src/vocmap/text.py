@@ -52,8 +52,17 @@ def lemmatize_noun(token: str, store) -> str:
     """Reduce a token to a base noun form known to the store.
 
     The irregular-form map is consulted first, then the suffix rules in
-    order; the token is returned unchanged when nothing matches.
+    order; the token is returned unchanged when nothing matches.  The store
+    never changes, so it keeps each token's base form once found.
     """
+    base_forms = store._base_forms
+    base = base_forms.get(token)
+    if base is None:
+        base = base_forms[token] = _base_form(token, store)
+    return base
+
+
+def _base_form(token: str, store) -> str:
     base = store.exceptions.get(token)
     if base:
         return base

@@ -93,7 +93,9 @@ class WordNetStore:
 
     The lemma index is exactly the inverse of the synsets' sense lists:
     every sense is reachable from its lemma and the index holds nothing
-    else.  All queries are read-only.
+    else.  All queries are read-only; the store's one cache, the base
+    form of each token that ``text.lemmatize_noun`` has reduced, lives as
+    long as the store.
     """
 
     def __init__(self, synsets: Iterable[Synset],
@@ -109,6 +111,8 @@ class WordNetStore:
             by_id[syn.id] = syn
         self.synsets = by_id
         self.exceptions = dict(exceptions or {})
+        # text.lemmatize_noun's base form of each token, filled lazily
+        self._base_forms: dict[str, str] = {}
 
         lemma_index: dict[str, list[WordSense]] = {}
         for syn in by_id.values():
@@ -222,9 +226,11 @@ def _collector_paused():
 # ---------------------------------------------------------------------------
 # JSON fixture loader
 
-def _fixture_int(value, what: str) -> int:
+def _fixture_int(value, what: str, *args) -> int:
+    """``value`` when it is an integer; ``what % args`` names it in the
+    error, and is formatted only for a bad value."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise LoadError(f"{what} must be an integer, got {value!r}",
+        raise LoadError(f"{what % args} must be an integer, got {value!r}",
                         source="fixture")
     return value
 
@@ -233,7 +239,7 @@ def _fixture_synset(entry, where: str) -> Synset:
     """The synset of one fixture entry; ``where`` names the entry."""
     if not isinstance(entry, dict):
         raise LoadError(f"{where} must be an object", source="fixture")
-    offset = _fixture_int(entry.get("offset"), f"{where}.offset")
+    offset = _fixture_int(entry.get("offset"), "%s.offset", where)
     if offset < 0:
         raise LoadError(f"{where}.offset must be >= 0", source="fixture")
     sid = SynsetId("n", offset)
@@ -254,9 +260,9 @@ def _fixture_synset(entry, where: str) -> Synset:
         senses.append(WordSense(
             lemma, sid,
             _fixture_int(item.get("sense_number", 1),
-                         f"{where}.lemmas[{j}].sense_number"),
+                         "%s.lemmas[%d].sense_number", where, j),
             _fixture_int(item.get("frequency", 0),
-                         f"{where}.lemmas[{j}].frequency")))
+                         "%s.lemmas[%d].frequency", where, j)))
     gloss = entry.get("gloss", "")
     if not isinstance(gloss, str):
         raise LoadError(f"{where}.gloss must be a string", source="fixture")
@@ -270,8 +276,11 @@ def _fixture_synset(entry, where: str) -> Synset:
             raise LoadError(
                 f"{where}.relations[{j}] must be a [kind, offset] pair",
                 source="fixture")
-        target = _fixture_int(rel[1], f"{where}.relations[{j}]")
-        relations.append((rel[0], SynsetId("n", target)))
+        pair = (rel[0], SynsetId("n", _fixture_int(
+            rel[1], "%s.relations[%d]", where, j)))
+        # a repeated relation is kept once, as load_wndb keeps a pointer
+        if pair not in relations:
+            relations.append(pair)
     return Synset(sid, tuple(senses), gloss, tuple(relations))
 
 

@@ -1,6 +1,7 @@
 """The mapper and the random baseline against the brute-force references in
-tests/oracle.py, on small generated stores and vocabularies; and the WNDB
-loader against the fixture loader on the same generated stores.
+tests/oracle.py, on small generated stores and vocabularies; the sweep
+against one mapping per grid point; and the WNDB loader against the fixture
+loader on the same generated stores.
 
 Lemmas, glosses, labels and definitions all draw on one small word pool, so
 lexical matches, collocations and gloss overlaps are frequent.
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from oracle import (mapping_set_tuples, oracle_map_vocabulary,
                     oracle_random_baseline)
+from vocmap.evaluation import SweepGrid, evaluate, run_sweep
 from vocmap.mapper import MapperConfig, map_vocabulary, random_baseline_mapping
 from vocmap.vocab import Term, Vocabulary
 from vocmap.wordnet import (HYPONYM_OF, PART_MERONYM_OF, load_fixture,
@@ -98,6 +100,35 @@ def test_mapper_equals_oracle_on_generated_stores(case, ol_min, f_min):
         assert {t[:3] for t in got} == {t[:3] for t in want}
 
 
+@settings(max_examples=20, deadline=None)
+@given(case=_cases(),
+       taxonomy_options=st.sampled_from(((False,), (True,), (False, True))),
+       f_min_values=st.lists(st.sampled_from(F_MIN_VALUES), min_size=1,
+                             max_size=3, unique=True),
+       ol_min_values=st.lists(st.integers(0, 3), min_size=1, max_size=3,
+                              unique=True),
+       gold_point=st.tuples(st.integers(0, 2), st.sampled_from(F_MIN_VALUES)))
+def test_sweep_rows_equal_per_point_mappings_on_generated_stores(
+        case, taxonomy_options, f_min_values, ol_min_values, gold_point):
+    store, vocabulary, closure = case
+    # a gold standard that some points meet in part
+    gold_ol_min, gold_f_min = gold_point
+    gold = map_vocabulary(vocabulary, store, MapperConfig(
+        ol_min=gold_ol_min, f_min=gold_f_min))
+    grid = SweepGrid(taxonomy_options=taxonomy_options,
+                     f_min_values=tuple(f_min_values),
+                     ol_min_values=tuple(ol_min_values))
+    rows = run_sweep(vocabulary, store, gold, grid=grid, taxonomy=closure)
+    assert len(rows) == len(grid)
+    for row, (taxonomy_on, f_min, ol_min) in zip(rows, grid.points()):
+        config = MapperConfig(ol_min=ol_min, f_min=f_min,
+                              taxonomy=closure if taxonomy_on else None)
+        mapping = map_vocabulary(vocabulary, store, config)
+        assert row.config == config
+        assert row.result == evaluate(mapping, gold)
+        assert row.n_mappings == len(mapping)
+
+
 @settings(max_examples=40, deadline=None)
 @given(case=_cases(), seed=st.integers(0, 5))
 def test_random_baseline_equals_oracle_on_generated_stores(case, seed):
@@ -139,10 +170,7 @@ def _wndb_files(doc):
 @settings(max_examples=40, deadline=None)
 @given(doc=_documents())
 def test_wndb_and_fixture_loaders_agree_on_generated_stores(doc):
-    # the WNDB loader keeps each (kind, target) pointer once
-    for entry in doc["synsets"]:
-        entry["relations"] = [list(rel) for rel in
-                              dict.fromkeys(map(tuple, entry["relations"]))]
+    # both loaders keep a repeated (kind, target) relation once
     from_wndb = load_wndb(*_wndb_files(doc))
     from_json = load_fixture(json.dumps(doc))
     # synsets in order, each with its senses in order, tag counts, gloss and

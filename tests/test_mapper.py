@@ -1,5 +1,6 @@
 """Candidate generation, salience scoring, selection, and the driver."""
 
+import json
 import random
 
 import pytest
@@ -27,6 +28,8 @@ from vocmap.mapper import (
     salience,
     select_best,
 )
+from vocmap.text import (default_stopwords, lemmatize_noun,
+                         normalize_definition, tokenize)
 from vocmap.vocab import MappingRelation, Provenance, Term, Vocabulary
 from vocmap.wordnet import SynsetId, WordSense, load_fixture
 
@@ -372,6 +375,82 @@ class TestCandidateTable:
         table = CandidateTable(mini_vocab, mini_store, MapperConfig())
         with pytest.raises(ValueError, match="floor"):
             table.select(MapperConfig(use_alt_labels=True))
+
+    def test_passes_sharing_a_lemma_keep_their_own_overlap(self):
+        # 'bay' is every term's label, and 'sea' both a label and a term
+        # found in a definition; the senses of each are found once per
+        # table, but each pass's overlap comes from its own definition
+        store = load_fixture(json.dumps({"synsets": [
+            {"offset": 1, "lemmas": [{"lemma": "sea", "frequency": 3}],
+             "gloss": "a large body of salt water"},
+            {"offset": 2, "lemmas": [{"lemma": "bay", "frequency": 5}],
+             "gloss": "an inlet of the sea where the land curves inward"},
+            {"offset": 3, "lemmas": [{"lemma": "bay", "sense_number": 2}],
+             "gloss": "a horse of a reddish brown colour"},
+            {"offset": 4, "lemmas": [{"lemma": "horse"}],
+             "gloss": "a large animal that people ride"},
+            {"offset": 5, "lemmas": [{"lemma": "land"}],
+             "gloss": "the solid part of the earth"}]}))
+        terms = [
+            Term(uri="http://example.org/t1", pref_label="bay",
+                 definition="an inlet of the sea where the land curves"),
+            Term(uri="http://example.org/t2", pref_label="bay",
+                 definition="a reddish brown horse"),
+            Term(uri="http://example.org/t3", pref_label="bay"),
+            Term(uri="http://example.org/t4", pref_label="sea",
+                 definition="salt water of a large body"),
+            Term(uri="http://example.org/t5", pref_label="sea bay",
+                 definition="a large inlet where the sea curves")]
+        table = CandidateTable(Vocabulary(terms), store, MapperConfig())
+        stopwords = default_stopwords()
+        overlaps = {}
+        for (uri, passes), term in zip(table.terms, terms):
+            # a table of the one term holds the same rows
+            alone = CandidateTable(Vocabulary([term]), store, MapperConfig())
+            assert alone.terms == [(uri, passes)]
+            for d, forms in passes:
+                label = term.pref_label if d is None else d
+                bag = normalize_definition(
+                    term.definition or "",
+                    {lemmatize_noun(t, store) for t in tokenize(label)},
+                    store, stopwords)
+                for _, rows, _, _ in forms:
+                    for c in rows:
+                        assert c.ol == len(bag & normalize_definition(
+                            store.gloss(c.synset), (), store, stopwords))
+                        overlaps.setdefault(
+                            (c.word_sense.lemma, c.synset.offset),
+                            set()).add(c.ol)
+        assert len(overlaps[("bay", 2)]) == 3
+        assert len(overlaps[("bay", 3)]) == 2
+        assert len(overlaps[("sea", 1)]) == 3
+
+    def test_tables_on_one_store_keep_their_own_floor(self, fixtures_dir,
+                                                      mini_vocab):
+        # the senses that pass a floor are kept per table: on one store,
+        # tables with looser and stricter floors in turn each hold the rows
+        # of a table built alone, and map as the oracle does
+        def _load():
+            store = load_fixture(
+                (fixtures_dir / "wordnet_mini.json").read_bytes())
+            names = (fixtures_dir / "roots_mini.txt").read_text().split()
+            return store, store.taxonomy_closure(
+                store.resolve_synset_name(name) for name in names)
+
+        store, taxonomy = _load()
+        points = ((False, 0), (True, 5), (True, 0), (False, 5))
+        tables = [CandidateTable(mini_vocab, store, MapperConfig(
+            f_min=f_min, taxonomy=taxonomy if on else None))
+            for on, f_min in points]
+        for (on, f_min), table in zip(points, tables):
+            alone, alone_taxonomy = _load()
+            assert table.terms == CandidateTable(
+                mini_vocab, alone, MapperConfig(
+                    f_min=f_min, taxonomy=alone_taxonomy if on else None)
+            ).terms
+            assert mapping_set_tuples(table.select(table.floor)) \
+                == oracle_map_vocabulary(mini_vocab, store, f_min=f_min,
+                                         taxonomy=table.floor.taxonomy)
 
 
 class TestRandomBaseline:

@@ -3,6 +3,7 @@
 import hashlib
 from importlib import resources
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -69,6 +70,19 @@ class TestLemmatizeNoun:
 
     def test_ches_rule(self):
         assert lemmatize_noun("churches", _store("church")) == "church"
+
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_each_store_keeps_its_own_base_forms(self, first):
+        # the base forms are kept per store: one token reduced on two
+        # inventories gives each store's answer, whichever comes first
+        stores = [(_store("station", exceptions={"mice": "mouse"}),
+                   {"stations": "station", "mice": "mouse"}),
+                  (_store("river"), {"stations": "stations", "mice": "mice"})]
+        for store, want in stores[first:] + stores[:first]:
+            for token, base in want.items():
+                assert lemmatize_noun(token, store) == base
+                # the second call reads the base form the store kept
+                assert lemmatize_noun(token, store) == base
 
 
 class TestNormalizeDefinition:

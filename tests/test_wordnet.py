@@ -117,6 +117,44 @@ class TestFixtureLoader:
             load_fixture(_fixture_bytes(synsets))
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("synsets, message", [
+        ([{"offset": "1", "lemmas": [{"lemma": "bay"}]}],
+         "fixture: synsets[0].offset must be an integer, got '1'"),
+        ([_simple_synset(1, "sea"),
+          {"offset": 2, "lemmas": [{"lemma": "bay"},
+                                   {"lemma": "cove", "sense_number": 1.5}]}],
+         "fixture: synsets[1].lemmas[1].sense_number must be an integer, "
+         "got 1.5"),
+        ([{"offset": 1, "lemmas": [{"lemma": "bay", "frequency": True}]}],
+         "fixture: synsets[0].lemmas[0].frequency must be an integer, "
+         "got True"),
+        # a repeated relation still counts in the position of a later one
+        ([_simple_synset(1, "sea"), _simple_synset(
+            2, "bay", relations=[(HYPONYM_OF, 1), (HYPONYM_OF, 1),
+                                 (PART_MERONYM_OF, None)])],
+         "fixture: synsets[1].relations[2] must be an integer, got None"),
+    ], ids=["offset", "sense-number", "frequency", "relation-target"])
+    def test_non_integer_names_its_field(self, synsets, message):
+        with pytest.raises(LoadError) as err:
+            load_fixture(_fixture_bytes(synsets))
+        assert str(err.value) == message
+
+    def test_repeated_relation_is_kept_once_as_by_wndb(self):
+        data = _fixture_bytes([
+            _simple_synset(1, "water"),
+            _simple_synset(2, "bay", relations=[
+                (HYPONYM_OF, 1), (PART_MERONYM_OF, 1), (HYPONYM_OF, 1)])])
+        from_json = load_fixture(data)
+        from_wndb = load_wndb(
+            b"bay n 1 0 1 0 00000002\nwater n 1 0 1 0 00000001\n",
+            b"00000001 03 n 01 water 0 000 | \n"
+            b"00000002 03 n 01 bay 0 003 @ 00000001 n 0000 "
+            b"#p 00000001 n 0000 @ 00000001 n 0000 | \n")
+        assert from_json.synsets[_sid(2)].relations == (
+            (HYPONYM_OF, _sid(1)), (PART_MERONYM_OF, _sid(1)))
+        assert from_json.synsets == from_wndb.synsets
+        assert from_json.taxonomy_closure([_sid(1)]) == {_sid(1), _sid(2)}
+
     def test_invalid_utf8_is_a_load_error(self):
         with pytest.raises(LoadError, match="invalid JSON"):
             load_fixture(b'{"synsets": [], "exceptions": {"\xff": "x"}}')
