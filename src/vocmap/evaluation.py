@@ -86,7 +86,6 @@ class SweepGrid:
 class SweepRow:
     config: MapperConfig
     result: EvalResult
-    n_mappings: int
     wall_ms: float = field(compare=False, default=0.0)
 
     @property
@@ -125,7 +124,6 @@ def run_sweep(vocabulary, store: WordNetStore, gold: MappingSet,
         mapping = table.select(config)
         result = evaluate(mapping, gold)
         rows.append(SweepRow(config=config, result=result,
-                             n_mappings=len(mapping),
                              wall_ms=(perf_counter() - started) * 1000.0))
     return rows
 
@@ -141,7 +139,7 @@ def sweep_tsv(rows: Sequence[SweepRow], include_timings: bool = False) -> bytes:
             f"{'on' if row.taxonomy_on else 'off'}\t{row.config.f_min}"
             f"\t{row.config.ol_min}\t{row.result.precision:.4f}"
             f"\t{row.result.recall:.4f}\t{row.result.f_measure:.4f}"
-            f"\t{row.n_mappings}\t{wall_ms}"
+            f"\t{row.result.n_machine}\t{wall_ms}"
         )
     return ("\n".join(lines) + "\n").encode("utf-8")
 

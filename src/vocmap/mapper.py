@@ -22,7 +22,6 @@ from enum import Enum
 from typing import Sequence
 
 from vocmap.text import (
-    compound_candidates,
     default_stopwords,
     extract_definition_terms,
     lemmatize_noun,
@@ -70,12 +69,11 @@ class Candidate:
     ol: int
 
 
-def _matching_lemmas(label: str) -> list[tuple[str, MatchKind]]:
-    """The strings that a lemma lexically matching the label must be, each
-    once, with its kind: the label's tokens joined by '_' (complete), and
-    every shorter contiguous run of them (partial), by start, then by
+def _matching_lemmas(tokens: Sequence[str]) -> list[tuple[str, MatchKind]]:
+    """The strings that a lemma lexically matching a label's tokens must
+    be, each once, with its kind: all the tokens joined by '_' (complete),
+    and every shorter contiguous run of them (partial), by start, then by
     length."""
-    tokens = tokenize(label)
     n = len(tokens)
     runs: dict[str, MatchKind] = {}
     for i in range(n):
@@ -88,22 +86,25 @@ def _matching_lemmas(label: str) -> list[tuple[str, MatchKind]]:
 
 def _passes(term: Term, store: WordNetStore, stopwords: frozenset[str],
             use_alt_labels: bool):
-    """The passes of a term as (definition term or None, label, forms).
+    """The passes of a term as (definition term or None, lemmas of the
+    label it maps, forms); each label is tokenized once.
 
-    A label has one form, its tokens joined by '_'; ``_matching_lemmas``
-    finds each run of its words in it, so no word needs a form of its own.
-    First the label pass: the form of the preferred label, then (when
-    enabled) of each alternative label, without repeats.  Then one pass per term extracted from the
-    definition, never one of the term's own label forms or lemmas.
+    A form is a label's tokens, and ``_matching_lemmas`` finds each run of
+    them.  First the label pass: the preferred label's form, then (when
+    enabled) each alternative label's, without repeats or empty forms.  Then
+    one pass, with one form, per term extracted from the definition: never
+    the preferred label's joined form, one of its tokens or their lemmas.
     """
-    labels = (term.pref_label,) + (term.alt_labels if use_alt_labels else ())
-    yield None, term.pref_label, list(dict.fromkeys(
-        form for label in labels for form in compound_candidates(label)[:1]))
-    exclude = set(compound_candidates(term.pref_label))
-    exclude.update(lemmatize_noun(t, store) for t in tokenize(term.pref_label))
+    pref = tuple(tokenize(term.pref_label))
+    lemmas = {lemmatize_noun(t, store) for t in pref}
+    forms = [pref] + [tuple(tokenize(label)) for label in term.alt_labels
+                      if use_alt_labels]
+    yield None, lemmas, [form for form in dict.fromkeys(forms) if form]
+    exclude = {"_".join(pref), *pref, *lemmas} if pref else set()
     for d in extract_definition_terms(term.definition, store, stopwords,
                                       exclude=exclude):
-        yield d, d, compound_candidates(d)[:1]
+        form = tokenize(d)
+        yield d, {lemmatize_noun(t, store) for t in form}, [form]
 
 
 class CandidateTable:
@@ -117,8 +118,8 @@ class CandidateTable:
 
     What does not depend on the term is found once per distinct string and
     kept for the table's life: each lemma's senses that pass the floor's
-    taxonomy and frequency filters, with their gloss bags, and each label's
-    lemma set.  A pass computes only its rows' overlaps.
+    taxonomy and frequency filters, with their gloss bags.  Each label is
+    tokenized once per pass, and a pass computes only its rows' overlaps.
     """
 
     def __init__(self, vocabulary, store: WordNetStore, floor: MapperConfig):
@@ -127,7 +128,6 @@ class CandidateTable:
         self._gloss_bags: dict[SynsetId, frozenset[str]] = {}
         self._floor_senses: dict[
             str, tuple[tuple[WordSense, frozenset[str]], ...]] = {}
-        self._label_lemmas: dict[str, frozenset[str]] = {}
         self.terms: list[tuple[str, tuple]] = [
             (uri, tuple(self.passes(vocabulary.terms[uri])))
             for uri in sorted(vocabulary.terms)]
@@ -154,50 +154,41 @@ class CandidateTable:
             senses = self._floor_senses[lemma] = tuple(kept)
         return senses
 
-    def _lemmas_of(self, label: str) -> frozenset[str]:
-        """The lemmas of a label's tokens, which its pass excludes from the
-        term's definition bag."""
-        lemmas = self._label_lemmas.get(label)
-        if lemmas is None:
-            lemmas = self._label_lemmas[label] = frozenset(
-                lemmatize_noun(t, self.store) for t in tokenize(label))
-        return lemmas
+    def _rows(self, form: Sequence[str],
+              term_bag: frozenset[str]) -> list[Candidate]:
+        """The candidates of one form that pass the floor's three filters,
+        with their overlaps with ``term_bag``."""
+        ol_min, rows = self.floor.ol_min, []
+        for lemma, kind in _matching_lemmas(form):
+            for ws, gloss_bag in self._senses_of(lemma):
+                # the one value that depends on the term
+                ol = len(term_bag & gloss_bag)
+                if ol >= ol_min:
+                    rows.append(Candidate(
+                        synset=ws.synset, word_sense=ws, match_kind=kind,
+                        f=ws.tag_frequency, ol=ol))
+        return rows
 
-    def passes(self, term: Term, label_forms: Sequence[str] | None = None):
+    def passes(self, term: Term):
         """Yield (definition term or None, forms) for each pass of a term,
-        the label pass first; ``forms`` holds (form, rows, highest f,
-        highest ol) for each label form that has any row, in order: one
-        form per label, so a definition pass holds at most one.
-        ``label_forms``, when given, replaces the label pass's forms.
+        the label pass first; ``forms`` holds (form joined by '_', rows,
+        highest f, highest ol) for each label form that has any row, in
+        order: one form per label, so a definition pass holds at most one.
 
         ``normalize_definition(text, exclude)`` equals the unexcluded bag
         minus ``exclude``, so the passes of a term share its definition bag
         and each subtracts the lemmas of the label it maps.
         """
-        store, ol_min = self.store, self.floor.ol_min
-        stopwords = default_stopwords()
+        store, stopwords = self.store, default_stopwords()
         definition_bag = normalize_definition(term.definition or "", (),
                                               store, stopwords)
-        for d, label, forms in _passes(term, store, stopwords,
-                                       self.floor.use_alt_labels):
-            if d is None and label_forms is not None:
-                forms = label_forms
-            term_bag = definition_bag - self._lemmas_of(label)
-            kept = []
-            for form in forms:
-                rows = []
-                for lemma, kind in _matching_lemmas(form):
-                    for ws, gloss_bag in self._senses_of(lemma):
-                        # the one value that depends on the term
-                        ol = len(term_bag & gloss_bag)
-                        if ol >= ol_min:
-                            rows.append(Candidate(
-                                synset=ws.synset, word_sense=ws,
-                                match_kind=kind, f=ws.tag_frequency, ol=ol))
-                if rows:
-                    kept.append((form, rows, max(c.f for c in rows),
-                                 max(c.ol for c in rows)))
-            yield d, tuple(kept)
+        for d, lemmas, forms in _passes(term, store, stopwords,
+                                        self.floor.use_alt_labels):
+            term_bag = definition_bag - lemmas
+            yield d, tuple(
+                ("_".join(form), rows, max(c.f for c in rows),
+                 max(c.ol for c in rows))
+                for form in forms if (rows := self._rows(form, term_bag)))
 
     def select(self, config: MapperConfig) -> MappingSet:
         """The vocabulary's mapping under ``config``: a label-derived
@@ -223,10 +214,15 @@ class CandidateTable:
 
 def find_candidates(term: Term, label: str, store: WordNetStore,
                     config: MapperConfig) -> list[Candidate]:
-    """Candidates for one lexical form of a term, after all three filters."""
-    table = CandidateTable(Vocabulary(()), store, config)
-    _, forms = next(table.passes(term, label_forms=(label,)))
-    return forms[0][1] if forms else []
+    """Candidates for one label of a term, after all three filters.  As in
+    the term's label pass, overlaps count against its definition bag less
+    the lemmas of its preferred label."""
+    stopwords = default_stopwords()
+    _, lemmas, _ = next(_passes(term, store, stopwords, False))
+    term_bag = normalize_definition(term.definition or "", lemmas, store,
+                                    stopwords)
+    return CandidateTable(Vocabulary(()), store, config)._rows(
+        tokenize(label), term_bag)
 
 
 def _desc_ranks(values: Sequence[int]) -> list[int]:
@@ -356,5 +352,6 @@ def random_baseline_mapping(vocabulary, store: WordNetStore,
                     term=uri, relation=MappingRelation.RELATED,
                     synset=store.synset_name(rng.choice(senses).synset),
                     score=0.0, provenance=Provenance.LABEL if d is None
-                    else Provenance.DEFINITION, source_word=d or forms[0]))
+                    else Provenance.DEFINITION,
+                    source_word=d or "_".join(forms[0])))
     return MappingSet(mappings)

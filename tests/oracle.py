@@ -111,11 +111,14 @@ def _map_label(label, definition, exclude, store, ol_min, f_min, taxonomy):
 
 
 def oracle_map_vocabulary(vocabulary, store, ol_min=0, f_min=0,
-                          taxonomy=None) -> set[tuple]:
+                          taxonomy=None, use_alt_labels=False) -> set[tuple]:
     """The full mapping as a set of comparable result tuples.
 
     Tuples are (term-uri, relation, synset-name, rounded sigma, provenance,
-    source-word).
+    source-word).  The label mapping comes from the preferred label, then
+    (with ``use_alt_labels``) from each alternative label: the first label
+    with any row wins, and every label's rows count overlaps against the
+    definition less the preferred label's lemmas.
     """
     stopwords = default_stopwords()
     results: set[tuple] = set()
@@ -123,12 +126,16 @@ def oracle_map_vocabulary(vocabulary, store, ol_min=0, f_min=0,
         term = vocabulary.terms[uri]
         label_exclude = {lemmatize_noun(t, store)
                          for t in tokenize(term.pref_label)}
-        hit = _map_label(term.pref_label, term.definition, label_exclude,
-                         store, ol_min, f_min, taxonomy)
-        if hit is not None:
-            relation, synset, sigma, form = hit
-            results.add((uri, relation, synset, round(sigma, 12), "label",
-                         form))
+        labels = (term.pref_label,) + (term.alt_labels if use_alt_labels
+                                       else ())
+        for label in labels:
+            hit = _map_label(label, term.definition, label_exclude, store,
+                             ol_min, f_min, taxonomy)
+            if hit is not None:
+                relation, synset, sigma, form = hit
+                results.add((uri, relation, synset, round(sigma, 12),
+                             "label", form))
+                break
         d_exclude = set(compound_candidates(term.pref_label)) | label_exclude
         for d in extract_definition_terms(term.definition, store, stopwords,
                                           exclude=d_exclude):

@@ -139,7 +139,7 @@ class TestRunSweep:
             mapping = map_vocabulary(mini_vocab, mini_store, config)
             assert row.config == config
             assert row.result == evaluate(mapping, mini_gold)
-            assert row.n_mappings == len(mapping)
+            assert row.result.n_machine == len(mapping)
 
     def test_taxonomy_on_requires_closure(self, mini_store, mini_vocab,
                                           mini_gold):
@@ -174,7 +174,7 @@ class TestSummarize:
                                 f_measure=0.5, n_machine=1,
                                 n_gold=1, n_correct=1)
             config = MapperConfig(taxonomy=frozenset() if taxonomy else None)
-            return SweepRow(config=config, result=result, n_mappings=1)
+            return SweepRow(config=config, result=result)
 
         rows = [_row(False, 0.7), _row(False, 0.9),
                 _row(True, 0.8), _row(True, 0.8)]

@@ -68,16 +68,24 @@ def _cases(draw):
     lemma_text = st.sampled_from(sorted(store.lemma_index)).map(
         lambda lemma: lemma.replace("_", " "))
     # a store lemma, alone or inside a label of up to three words, matches
-    # it completely or partially
+    # it completely or partially; a label of punctuation has no tokens
     labels = st.one_of(
         _text(1, 3).filter(str.strip), lemma_text,
         st.tuples(_text(0, 1), lemma_text, _text(0, 1)).map(" ".join)
-        .filter(lambda label: len(label.split()) <= 3))
-    terms = [
-        Term(uri=f"http://example.org/t{k}", pref_label=draw(labels),
-             alt_labels=tuple(draw(st.lists(labels, max_size=2))),
-             definition=draw(st.one_of(st.none(), _text(0, 10))))
-        for k in range(draw(st.integers(1, 10)))]
+        .filter(lambda label: len(label.split()) <= 3),
+        st.sampled_from(("!!", "--")))
+    terms = []
+    for k in range(draw(st.integers(1, 10))):
+        pref_label = draw(labels)
+        # an alternative label may repeat the preferred label's tokens in
+        # another case or with punctuation, which gives no new form
+        variants = st.sampled_from((pref_label.upper(), pref_label + "!",
+                                    f"-{pref_label.title()}-"))
+        terms.append(Term(
+            uri=f"http://example.org/t{k}", pref_label=pref_label,
+            alt_labels=tuple(draw(st.lists(st.one_of(labels, variants),
+                                           max_size=2))),
+            definition=draw(st.one_of(st.none(), _text(0, 10)))))
     roots = draw(st.lists(st.sampled_from(sorted(store.synsets)),
                           min_size=1, max_size=2))
     return store, Vocabulary(terms), store.taxonomy_closure(roots)
@@ -85,15 +93,18 @@ def _cases(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(case=_cases(), ol_min=st.integers(0, 3),
-       f_min=st.sampled_from(F_MIN_VALUES))
-def test_mapper_equals_oracle_on_generated_stores(case, ol_min, f_min):
+       f_min=st.sampled_from(F_MIN_VALUES), use_alt_labels=st.booleans())
+def test_mapper_equals_oracle_on_generated_stores(case, ol_min, f_min,
+                                                  use_alt_labels):
     store, vocabulary, closure = case
     for taxonomy in (None, closure):
         got = mapping_set_tuples(map_vocabulary(
             vocabulary, store,
-            MapperConfig(ol_min=ol_min, f_min=f_min, taxonomy=taxonomy)))
+            MapperConfig(ol_min=ol_min, f_min=f_min, taxonomy=taxonomy,
+                         use_alt_labels=use_alt_labels)))
         want = oracle_map_vocabulary(vocabulary, store, ol_min=ol_min,
-                                     f_min=f_min, taxonomy=taxonomy)
+                                     f_min=f_min, taxonomy=taxonomy,
+                                     use_alt_labels=use_alt_labels)
         # a mapping set keeps the first of two passes that reach the same
         # triple; the oracle's set keeps both
         assert got <= want
@@ -126,7 +137,7 @@ def test_sweep_rows_equal_per_point_mappings_on_generated_stores(
         mapping = map_vocabulary(vocabulary, store, config)
         assert row.config == config
         assert row.result == evaluate(mapping, gold)
-        assert row.n_mappings == len(mapping)
+        assert row.result.n_machine == len(mapping)
 
 
 @settings(max_examples=40, deadline=None)
