@@ -47,18 +47,13 @@ def _read_lines(path: str):
         raise ValueError(f"{path}, line {line_no}: not valid UTF-8") from None
 
 
-def _parse_file(path: str, parse, **kwargs):
+def _parse_file(path: str, parse):
     """``parse`` applied to a file's bytes; a ParseError names the file."""
     data = Path(path).read_bytes()
     try:
-        return parse(data, **kwargs)
+        return parse(data)
     except vocab.ParseError as exc:
         raise vocab.ParseError(f"{path}, {exc}") from None
-
-
-def _load_vocabulary(path: str) -> vocab.Vocabulary:
-    return _parse_file(path, vocab.parse_vocabulary_ntriples,
-                       name=Path(path).stem)
 
 
 def _load_gold(path: str) -> vocab.MappingSet:
@@ -180,7 +175,7 @@ def cmd_map(args: argparse.Namespace) -> int:
         if getattr(args, key) < 0:
             raise _UsageError(f"{flag} must be >= 0, got {getattr(args, key)}")
     store = _load_store(args.wordnet)
-    vocabulary = _load_vocabulary(args.vocab)
+    vocabulary = _parse_file(args.vocab, vocab.parse_vocabulary_ntriples)
     taxonomy = None
     if args.taxonomy_roots:
         taxonomy = store.taxonomy_closure(_read_roots(args.taxonomy_roots,
@@ -228,7 +223,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise _UsageError("the grid includes taxonomy=on; "
                           "--taxonomy-roots is required")
     store = _load_store(args.wordnet)
-    vocabulary = _load_vocabulary(args.vocab)
+    vocabulary = _parse_file(args.vocab, vocab.parse_vocabulary_ntriples)
     gold = _load_gold(args.gold)
     if gold.triples and not {m.term for m in gold} & vocabulary.terms.keys():
         print(f"warning: {args.gold} shares no terms with {args.vocab}",
@@ -279,7 +274,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
         raise _UsageError(
             f"--threshold must be >= 0 and <= 1, got {args.threshold}")
     store = _load_store(args.wordnet)
-    vocabulary = _load_vocabulary(args.vocab)
+    vocabulary = _parse_file(args.vocab, vocab.parse_vocabulary_ntriples)
     if args.kind == "random":
         mapping = mapper.random_baseline_mapping(vocabulary, store,
                                                  seed=args.seed)

@@ -218,7 +218,7 @@ def trigram_baseline_mapping(vocabulary, store: WordNetStore,
                     mappings.append(Mapping(
                         term=uri, relation=MappingRelation.RELATED,
                         synset=store.synset_name(ws.synset),
-                        score=min(similarity, 1.0),
+                        score=similarity,
                         provenance=Provenance.LABEL, source_word=lemma,
                     ))
         else:
@@ -231,7 +231,7 @@ def trigram_baseline_mapping(vocabulary, store: WordNetStore,
                 mappings.append(Mapping(
                     term=uri, relation=MappingRelation.RELATED,
                     synset=store.synset_name(sid),
-                    score=min(similarity, 1.0),
+                    score=similarity,
                     provenance=Provenance.DEFINITION,
                     source_word=store.synsets[sid].senses[0].lemma,
                 ))

@@ -84,25 +84,27 @@ def _matching_lemmas(tokens: Sequence[str]) -> list[tuple[str, MatchKind]]:
     return list(runs.items())
 
 
-def _passes(term: Term, store: WordNetStore, stopwords: frozenset[str],
-            use_alt_labels: bool):
+def _passes(term: Term, store: WordNetStore, use_alt_labels: bool):
     """The passes of a term as (definition term or None, lemmas of the
     label it maps, forms); each label is tokenized once.
 
-    A form is a label's tokens, and ``_matching_lemmas`` finds each run of
-    them.  First the label pass: the preferred label's form, then (when
-    enabled) each alternative label's, without repeats or empty forms.  Then
-    one pass, with one form, per term extracted from the definition: never
-    the preferred label's joined form, one of its tokens or their lemmas.
+    This is the one place where label text is cleaned: a term's labels
+    arrive as read, and tokenizing drops their case, padding and
+    punctuation.  A form is a label's tokens, and ``_matching_lemmas`` finds
+    each run of them.  First the label pass: the preferred label's form,
+    then (when enabled) each alternative label's, without repeats or empty
+    forms.  Then one pass, with one form, per term extracted from the
+    definition: never the preferred label's joined form, one of its tokens
+    or their lemmas.
     """
     pref = tuple(tokenize(term.pref_label))
     lemmas = {lemmatize_noun(t, store) for t in pref}
     forms = [pref] + [tuple(tokenize(label)) for label in term.alt_labels
                       if use_alt_labels]
     yield None, lemmas, [form for form in dict.fromkeys(forms) if form]
-    exclude = {"_".join(pref), *pref, *lemmas} if pref else set()
-    for d in extract_definition_terms(term.definition, store, stopwords,
-                                      exclude=exclude):
+    exclude = {"_".join(pref), *pref, *lemmas}
+    for d in extract_definition_terms(term.definition, store,
+                                      default_stopwords(), exclude=exclude):
         form = tokenize(d)
         yield d, {lemmatize_noun(t, store) for t in form}, [form]
 
@@ -179,10 +181,10 @@ class CandidateTable:
         minus ``exclude``, so the passes of a term share its definition bag
         and each subtracts the lemmas of the label it maps.
         """
-        store, stopwords = self.store, default_stopwords()
+        store = self.store
         definition_bag = normalize_definition(term.definition or "", (),
-                                              store, stopwords)
-        for d, lemmas, forms in _passes(term, store, stopwords,
+                                              store, default_stopwords())
+        for d, lemmas, forms in _passes(term, store,
                                         self.floor.use_alt_labels):
             term_bag = definition_bag - lemmas
             yield d, tuple(
@@ -217,10 +219,9 @@ def find_candidates(term: Term, label: str, store: WordNetStore,
     """Candidates for one label of a term, after all three filters.  As in
     the term's label pass, overlaps count against its definition bag less
     the lemmas of its preferred label."""
-    stopwords = default_stopwords()
-    _, lemmas, _ = next(_passes(term, store, stopwords, False))
+    _, lemmas, _ = next(_passes(term, store, False))
     term_bag = normalize_definition(term.definition or "", lemmas, store,
-                                    stopwords)
+                                    default_stopwords())
     return CandidateTable(Vocabulary(()), store, config)._rows(
         tokenize(label), term_bag)
 
@@ -337,11 +338,10 @@ def random_baseline_mapping(vocabulary, store: WordNetStore,
     generator seeded with (seed, term URI), so results are reproducible and
     independent of vocabulary-wide ordering.
     """
-    stopwords = default_stopwords()
     mappings: list[Mapping] = []
     for uri in sorted(vocabulary.terms):
         rng = random.Random(f"{seed}:{uri}")
-        for d, _, forms in _passes(vocabulary.terms[uri], store, stopwords,
+        for d, _, forms in _passes(vocabulary.terms[uri], store,
                                    use_alt_labels=False):
             senses = sorted(
                 {ws for form in forms for lemma, _ in _matching_lemmas(form)

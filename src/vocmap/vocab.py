@@ -71,7 +71,8 @@ class Provenance(Enum):
 
 @dataclass(frozen=True)
 class Term:
-    """One vocabulary concept."""
+    """One vocabulary concept.  Its labels are kept as read: the mapper's
+    pass builder (``mapper._passes``) alone cleans label text."""
 
     uri: str
     pref_label: str
@@ -81,16 +82,8 @@ class Term:
     def __post_init__(self):
         if not _ABSOLUTE_IRI_RE.match(self.uri):
             raise ValueError(f"term id is not an absolute IRI: {self.uri!r}")
-        label = self.pref_label.strip()
-        if not label:
+        if not self.pref_label.strip():
             raise ValueError(f"term {self.uri} has an empty prefLabel")
-        object.__setattr__(self, "pref_label", label)
-        seen: list[str] = []
-        for alt in self.alt_labels:
-            alt = alt.strip()
-            if alt and alt != label and alt not in seen:
-                seen.append(alt)
-        object.__setattr__(self, "alt_labels", tuple(seen))
 
 
 class Vocabulary:

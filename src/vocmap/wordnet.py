@@ -323,15 +323,11 @@ def load_fixture(data: bytes | str) -> WordNetStore:
 # WNDB loader
 
 def _data_lines(data: bytes, source: str):
-    if isinstance(data, (bytes, bytearray)):
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise LoadError(f"invalid UTF-8 ({exc.reason})", source=source,
-                            line_no=data.count(b"\n", 0, exc.start) + 1
-                            ) from exc
-    else:
-        text = data
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise LoadError(f"invalid UTF-8 ({exc.reason})", source=source,
+                        line_no=data.count(b"\n", 0, exc.start) + 1) from exc
     # the Princeton data and index files open with an indented license
     # block; no other indented line is skipped
     in_license = source in ("data.noun", "index.noun")

@@ -19,8 +19,7 @@ def mini_store():
 
 @pytest.fixture(scope="session")
 def mini_vocab():
-    return parse_vocabulary_ntriples((FIXTURES / "vocab_mini.nt").read_bytes(),
-                                     name="mini")
+    return parse_vocabulary_ntriples((FIXTURES / "vocab_mini.nt").read_bytes())
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,10 @@ salience computation, best-candidate selection, relation assignment, and the
 two-pass vocabulary driver.  It shares only the text-normalization helpers
 and the data model with the production code, and uses no index shortcuts.
 
+For the trigram baselines it scans every lemma or gloss, and counts shared
+character trigrams by merging two sorted lists, with no ``Counter`` and no
+call to ``vocmap.evaluation``.
+
 It also keeps the N-Triples line reader as a single backtracking pattern
 and the escape decoder as a plain character loop, the reference for the
 linear-time reader in ``vocmap.vocab``.
@@ -184,6 +188,71 @@ def oracle_random_baseline(vocabulary, store, seed=0) -> set[tuple]:
                     0.0, "label" if d is None else "definition", d or form))
                 break
     return set(results.values())
+
+
+def _sorted_trigrams(text: str) -> list[str]:
+    """The character trigrams of ``text`` padded with two STX before and
+    two ETX after, sorted, repeats kept."""
+    padded = "\x02\x02" + text + "\x03\x03"
+    return sorted(padded[i:i + 3] for i in range(len(padded) - 2))
+
+
+def oracle_dice(a: str, b: str) -> float:
+    """Dice coefficient of two padded trigram multisets, counting the
+    shared trigrams by one merge of the two sorted lists."""
+    x, y = _sorted_trigrams(a), _sorted_trigrams(b)
+    i = j = shared = 0
+    while i < len(x) and j < len(y):
+        if x[i] == y[j]:
+            shared += 1
+            i += 1
+            j += 1
+        elif x[i] < y[j]:
+            i += 1
+        else:
+            j += 1
+    return 2.0 * shared / (len(x) + len(y))
+
+
+def oracle_trigram_baseline(vocabulary, store, threshold,
+                            strategy) -> list[tuple]:
+    """The trigram baseline as a list of (term-uri, relation, synset-name,
+    score, provenance, source-word), in emission order, by a scan of every
+    store sense or synset for each term in URI order.
+
+    'labels' compares the lowercased preferred label, its whitespace runs
+    collapsed to one space and trimmed, with each lemma (underscores read
+    as spaces) in sorted order, and emits the lemma's senses by sense
+    number.  'definitions' compares the lowercased definition with each
+    lowercased gloss, synsets by offset, and names the first lemma.  A
+    triple met twice keeps its first tuple.
+    """
+    synsets = sorted(store.synsets.values(), key=lambda s: s.id.offset)
+    results: dict[tuple, tuple] = {}
+    for uri in sorted(vocabulary.terms):
+        term = vocabulary.terms[uri]
+        found = []
+        if strategy == "labels":
+            label = re.sub(r"\s+", " ", term.pref_label.lower()).strip()
+            senses = [sense for synset in synsets for sense in synset.senses]
+            for lemma in sorted({sense.lemma for sense in senses}):
+                score = oracle_dice(label, lemma.replace("_", " "))
+                if score >= threshold:
+                    found += [(sense.synset, score, "label", lemma)
+                              for sense in sorted(
+                                  (s for s in senses if s.lemma == lemma),
+                                  key=lambda s: s.sense_number)]
+        else:
+            definition = (term.definition or "").lower()
+            for synset in synsets:
+                score = oracle_dice(definition, synset.gloss.lower())
+                if score >= threshold:
+                    found.append((synset.id, score, "definition",
+                                  synset.senses[0].lemma))
+        for sid, score, provenance, source in found:
+            triple = (uri, "related", _synset_name(store.synsets[sid]))
+            results.setdefault(triple, triple + (score, provenance, source))
+    return list(results.values())
 
 
 def mapping_set_tuples(mapping_set) -> set[tuple]:

@@ -1,19 +1,25 @@
 """Command-line interface: exit codes, outputs, determinism."""
 
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vocmap
 from oracle import oracle_map_vocabulary
 from vocmap.cli import main
 from vocmap.vocab import WN20_SYNSET_NS, MappingRelation, load_gold
 
+FIXTURES = Path(__file__).parent / "fixtures"
 BAY = "http://example.org/vocab/term/k:natural/v:bay"
 SKOS = "http://www.w3.org/2004/02/skos/core#"
 
@@ -620,3 +626,102 @@ class TestFailurePaths:
         line = _single_error_line(capsys.readouterr().err)
         assert flag in line and ">= 0" in line
         assert not (tmp_path / "o").exists()
+
+
+# Each input the property below can corrupt, and the commands that read it.
+_HOSTILE_READERS = {
+    "vocab.nt": ("map", "sweep", "baseline"),
+    "gold.nt": ("sweep", "eval"),
+    "mapping.nt": ("eval",),
+    "roots.txt": ("map", "sweep", "taxonomy"),
+    "run.cfg": ("map", "sweep", "baseline"),
+    "wordnet.json": ("map", "sweep", "taxonomy", "baseline"),
+    **{f"wndb/{name}": ("map", "sweep", "taxonomy", "baseline")
+       for name in ("index.noun", "data.noun", "cntlist.rev", "noun.exc")},
+}
+# bytes that end or open a token in one of the input formats
+_HOSTILE_BYTES = (b"\xff", b"\x00", b"\n", b"\r", b"\x0c", b" ", b'"', b"\\",
+                  b"<", b">", b".", b"#", b"=", b",", b"-", b"_", b"|", b"{",
+                  b"[", b"]", b"}", b":", b"@", b"%", b"0", b"9", b"\\u",
+                  "\u2028".encode(), "\x85".encode())
+
+
+def _hostile_inputs():
+    """The fixture inputs by file name, with a roots list and a config that
+    every store and command can read; the config keeps the sweep's grid
+    small."""
+    files = {
+        "vocab.nt": FIXTURES / "vocab_mini.nt",
+        "gold.nt": FIXTURES / "gold_mini.nt",
+        "mapping.nt": FIXTURES / "gold_mini.nt",
+        "wordnet.json": FIXTURES / "wordnet_mini.json",
+        **{f"wndb/{p.name}": p for p in (FIXTURES / "wndb").iterdir()},
+    }
+    contents = {name: path.read_bytes() for name, path in files.items()}
+    contents["roots.txt"] = b"# salient roots\nwater-noun-1\nsea-noun-1\n"
+    contents["run.cfg"] = (b"min_overlap = 1  # map\nmin_freq = 0\n"
+                           b"ol_min = 0,1\nf_min = 0,5\ntaxonomy = off,on\n"
+                           b"seed = 3\nthreshold = 0.5\n")
+    return contents
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_hostile_input_ends_with_an_exit_code_and_one_error_line(data):
+    """Random bytes spliced into one input, then a command that reads it:
+    the exit code is 0, 1 or 2, no exception escapes, and a failure writes
+    exactly one ``error:`` line, after at most some warnings."""
+    target = data.draw(st.sampled_from(sorted(_HOSTILE_READERS)), "target")
+    command = data.draw(st.sampled_from(_HOSTILE_READERS[target]), "command")
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        contents = _hostile_inputs()
+        text = contents[target]
+        at = data.draw(st.integers(0, len(text)), "at")
+        cut = data.draw(st.integers(0, 4), "cut")
+        insert = data.draw(st.one_of(st.binary(max_size=8),
+                                     st.sampled_from(_HOSTILE_BYTES)),
+                           "insert")
+        contents[target] = text[:at] + insert + text[at + cut:]
+        for name, payload in contents.items():
+            (d / name).parent.mkdir(exist_ok=True)
+            (d / name).write_bytes(payload)
+        if target.startswith("wndb/"):
+            store = "wndb"
+        elif target == "wordnet.json":
+            store = "wordnet.json"
+        else:
+            store = data.draw(st.sampled_from(("wordnet.json", "wndb")),
+                              "store")
+        vocab, wordnet, out = str(d / "vocab.nt"), str(d / store), str(d / "o")
+        roots, config = str(d / "roots.txt"), str(d / "run.cfg")
+        kind = data.draw(st.sampled_from(
+            ("random", "trigram-labels", "trigram-definitions")), "kind") \
+            if command == "baseline" else None
+        argv = {
+            "map": ["map", "--vocab", vocab, "--wordnet", wordnet,
+                    "--taxonomy-roots", roots, "--config", config,
+                    "--out", out, "--alt-labels"],
+            "sweep": ["sweep", "--vocab", vocab, "--wordnet", wordnet,
+                      "--gold", str(d / "gold.nt"), "--taxonomy-roots", roots,
+                      "--config", config, "--out", out],
+            "eval": ["eval", "--mapping", str(d / "mapping.nt"),
+                     "--gold", str(d / "gold.nt")],
+            "taxonomy": ["taxonomy", "--wordnet", wordnet, "--roots", roots,
+                         "--out", str(d / "closure.txt")],
+            "baseline": ["baseline", "--kind", kind, "--vocab", vocab,
+                         "--wordnet", wordnet, "--config", config,
+                         "--out", out],
+        }[command]
+        stderr = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    # a line ends at a line feed alone, as the CLI counts an input's lines
+    err = stderr.getvalue()
+    assert not err or err.endswith("\n"), err
+    lines = err.split("\n")[:-1]
+    assert all(line.startswith(("error: ", "warning: ")) for line in lines), \
+        lines
+    assert sum(line.startswith("error: ") for line in lines) \
+        == (code != 0), lines

@@ -1,20 +1,23 @@
-"""The mapper and the random baseline against the brute-force references in
-tests/oracle.py, on small generated stores and vocabularies; the sweep
-against one mapping per grid point; and the WNDB loader against the fixture
-loader on the same generated stores.
+"""The mapper, the random baseline and the trigram baselines against the
+brute-force references in tests/oracle.py, on small generated stores and
+vocabularies; the sweep against one mapping per grid point; and the WNDB
+loader against the fixture loader on the same generated stores.
 
 Lemmas, glosses, labels and definitions all draw on one small word pool, so
-lexical matches, collocations and gloss overlaps are frequent.
+lexical matches, collocations and gloss overlaps are frequent.  Labels are
+drawn as a user might type them, padded or with repeated spaces: only the
+code under test cleans them.
 """
 
 import json
 
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from oracle import (mapping_set_tuples, oracle_map_vocabulary,
-                    oracle_random_baseline)
-from vocmap.evaluation import SweepGrid, evaluate, run_sweep
+                    oracle_random_baseline, oracle_trigram_baseline)
+from vocmap.evaluation import (SweepGrid, evaluate, run_sweep,
+                               trigram_baseline_mapping)
 from vocmap.mapper import MapperConfig, map_vocabulary, random_baseline_mapping
 from vocmap.vocab import Term, Vocabulary
 from vocmap.wordnet import (HYPONYM_OF, PART_MERONYM_OF, load_fixture,
@@ -25,6 +28,9 @@ WORDS = ("bay", "sea", "pool", "salt", "water", "power", "station", "mouse")
 TEXT_WORDS = WORDS + ("pools", "seas", "stations", "mice", "the", "of", "a")
 # the grid's f_min values that tag counts can straddle
 F_MIN_VALUES = (0, 1, 2, 5, 10, 40)
+# an oracle property does not shrink a failing example: each shrink step
+# reruns the brute-force oracle, and a failure took minutes to report
+ORACLE_PHASES = (Phase.explicit, Phase.reuse, Phase.generate)
 
 
 def _text(min_size, max_size):
@@ -34,14 +40,16 @@ def _text(min_size, max_size):
 
 @st.composite
 def _documents(draw):
-    """A fixture document of 3-20 synsets with an acyclic relation graph."""
+    """A fixture document of 3-20 synsets with an acyclic relation graph,
+    their offsets in no particular order."""
     lemmas = st.one_of(
         st.sampled_from(WORDS),
         st.tuples(st.sampled_from(WORDS), st.sampled_from(WORDS))
         .map("_".join))
     senses_of: dict[str, int] = {}
     synsets = []
-    for i in range(draw(st.integers(3, 20))):
+    offsets = draw(st.permutations(range(1, draw(st.integers(3, 20)) + 1)))
+    for i, offset in enumerate(offsets):
         entry_lemmas = []
         for lemma in draw(st.lists(lemmas, min_size=1, max_size=3,
                                    unique=True)):
@@ -49,10 +57,11 @@ def _documents(draw):
             entry_lemmas.append({
                 "lemma": lemma, "sense_number": senses_of[lemma],
                 "frequency": draw(st.sampled_from((0, 0, 0, 1, 3, 7, 50)))})
+        # a relation points to a synset listed earlier
         relations = [] if i == 0 else draw(st.lists(
             st.tuples(st.sampled_from((HYPONYM_OF, PART_MERONYM_OF)),
-                      st.integers(1, i)).map(list), max_size=2))
-        synsets.append({"offset": i + 1, "lemmas": entry_lemmas,
+                      st.sampled_from(offsets[:i])).map(list), max_size=2))
+        synsets.append({"offset": offset, "lemmas": entry_lemmas,
                         "gloss": draw(_text(0, 8)), "relations": relations})
     exceptions = draw(st.sampled_from(({}, {"mice": "mouse"})))
     return {"synsets": synsets, "exceptions": exceptions}
@@ -76,11 +85,14 @@ def _cases(draw):
         st.sampled_from(("!!", "--")))
     terms = []
     for k in range(draw(st.integers(1, 10))):
-        pref_label = draw(labels)
+        label = draw(labels)
+        # the preferred label as typed: padded, or with spaces repeated
+        pref_label = draw(st.sampled_from((label, f"  {label} ",
+                                           label.replace(" ", "   "))))
         # an alternative label may repeat the preferred label's tokens in
-        # another case or with punctuation, which gives no new form
-        variants = st.sampled_from((pref_label.upper(), pref_label + "!",
-                                    f"-{pref_label.title()}-"))
+        # another case, with punctuation or padded, which gives no new form
+        variants = st.sampled_from((label.upper(), label + "!",
+                                    f"-{label.title()}-", f"  {label} "))
         terms.append(Term(
             uri=f"http://example.org/t{k}", pref_label=pref_label,
             alt_labels=tuple(draw(st.lists(st.one_of(labels, variants),
@@ -91,7 +103,7 @@ def _cases(draw):
     return store, Vocabulary(terms), store.taxonomy_closure(roots)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, phases=ORACLE_PHASES)
 @given(case=_cases(), ol_min=st.integers(0, 3),
        f_min=st.sampled_from(F_MIN_VALUES), use_alt_labels=st.booleans())
 def test_mapper_equals_oracle_on_generated_stores(case, ol_min, f_min,
@@ -140,13 +152,28 @@ def test_sweep_rows_equal_per_point_mappings_on_generated_stores(
         assert row.result.n_machine == len(mapping)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, phases=ORACLE_PHASES)
 @given(case=_cases(), seed=st.integers(0, 5))
 def test_random_baseline_equals_oracle_on_generated_stores(case, seed):
     store, vocabulary, _ = case
     assert mapping_set_tuples(random_baseline_mapping(
         vocabulary, store, seed=seed)) == oracle_random_baseline(
         vocabulary, store, seed=seed)
+
+
+@settings(max_examples=40, deadline=None, phases=ORACLE_PHASES)
+@given(case=_cases(),
+       threshold=st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0, 1)),
+       strategy=st.sampled_from(("labels", "definitions")))
+def test_trigram_baseline_equals_oracle_on_generated_stores(case, threshold,
+                                                            strategy):
+    store, vocabulary, _ = case
+    got = trigram_baseline_mapping(vocabulary, store, threshold=threshold,
+                                   strategy=strategy)
+    # whole tuples, exact scores included, in the order they are emitted
+    assert [(m.term, m.relation.value, m.synset, m.score, m.provenance.value,
+             m.source_word) for m in got] == oracle_trigram_baseline(
+        vocabulary, store, threshold, strategy)
 
 
 _POINTER_SYMBOLS = {HYPONYM_OF: "@", PART_MERONYM_OF: "#p"}

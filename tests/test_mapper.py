@@ -20,6 +20,7 @@ from vocmap.mapper import (
     MapperConfig,
     MatchKind,
     _desc_ranks,
+    _passes,
     assign_relation,
     find_candidates,
     find_semantic_mapping,
@@ -62,6 +63,18 @@ class TestLexicalMatch:
 
     def test_subsequence_must_be_contiguous(self):
         assert lexical_match("salt_pond", "salt water pond") is None
+
+
+class TestPasses:
+    def test_label_forms_come_from_raw_labels(self, mini_store):
+        # a term keeps its labels as read; the pass builder alone trims
+        # them and drops empty and repeated forms
+        alt_labels = ("bay", " cove ", "cove", "", "inlet")
+        term = Term(uri=BAY, pref_label=" bay ", alt_labels=alt_labels)
+        assert (term.pref_label, term.alt_labels) == (" bay ", alt_labels)
+        d, _, forms = next(_passes(term, mini_store, use_alt_labels=True))
+        assert d is None
+        assert forms == [("bay",), ("cove",), ("inlet",)]
 
 
 class TestFindCandidates:

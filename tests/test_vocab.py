@@ -37,14 +37,6 @@ class TestTermInvariants:
         with pytest.raises(ValueError):
             Term(uri=BAY, pref_label="   ")
 
-    def test_pref_label_trimmed(self):
-        assert Term(uri=BAY, pref_label=" bay ").pref_label == "bay"
-
-    def test_alt_labels_drop_pref_label_duplicate(self):
-        term = Term(uri=BAY, pref_label="bay",
-                    alt_labels=("bay", "cove", "cove", "inlet"))
-        assert term.alt_labels == ("cove", "inlet")
-
     def test_duplicate_term_ids_rejected(self):
         from vocmap.vocab import Vocabulary
         with pytest.raises(ValueError, match="duplicate term id"):
