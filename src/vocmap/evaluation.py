@@ -178,8 +178,12 @@ _PAD_START = "\x02"
 _PAD_END = "\x03"
 
 
+def _padded(text: str) -> str:
+    return _PAD_START * 2 + text + _PAD_END * 2
+
+
 def _trigrams(text: str) -> Counter:
-    padded = _PAD_START * 2 + text + _PAD_END * 2
+    padded = _padded(text)
     return Counter(padded[i:i + 3] for i in range(len(padded) - 2))
 
 
@@ -187,8 +191,46 @@ def trigram_similarity(a: str, b: str) -> float:
     """Dice coefficient over boundary-padded character trigram multisets."""
     ta, tb = _trigrams(a), _trigrams(b)
     shared = sum((ta & tb).values())
-    total = sum(ta.values()) + sum(tb.values())
-    return 2.0 * shared / total if total else 0.0
+    return 2.0 * shared / (sum(ta.values()) + sum(tb.values()))
+
+
+def _trigram_hits(queries: Sequence[str], strings: Sequence[str],
+                  threshold: float) -> list[list[tuple[int, float]]]:
+    """For each query, the (index, similarity) of every string whose
+    ``trigram_similarity`` with it is at least the threshold, in index
+    order.
+
+    A padded string of n characters has n + 2 trigrams.  A query of x
+    trigrams and a string of y share at most min(x, y) of them, and at most
+    ``common + repeats``: the distinct trigrams both hold, plus x minus the
+    query's number of distinct trigrams.  A pair is skipped when either
+    bound, divided by x + y as the similarity is, falls below the
+    threshold, so it could not have matched; only the rest are scored.
+    """
+    groups: dict[int, list[tuple[int, str]]] = {}
+    for index, text in enumerate(strings):
+        groups.setdefault(len(text) + 2, []).append((index, _padded(text)))
+    results = []
+    for query in queries:
+        padded = _padded(query)
+        distinct = set(zip(padded, padded[1:], padded[2:]))
+        x = len(query) + 2
+        repeats = x - len(distinct)
+        hits = []
+        for y, members in groups.items():
+            total = x + y
+            if 2.0 * min(x, y) / total < threshold:
+                continue
+            for index, p in members:
+                common = len(distinct.intersection(zip(p, p[1:], p[2:])))
+                if 2.0 * (common + repeats) / total < threshold:
+                    continue
+                similarity = trigram_similarity(query, strings[index])
+                if similarity >= threshold:
+                    hits.append((index, similarity))
+        hits.sort()
+        results.append(hits)
+    return results
 
 
 def trigram_baseline_mapping(vocabulary, store: WordNetStore,
@@ -205,15 +247,17 @@ def trigram_baseline_mapping(vocabulary, store: WordNetStore,
         raise ValueError(f"unknown strategy: {strategy!r}")
     if not 0 <= threshold <= 1:
         raise ValueError(f"threshold must be >= 0 and <= 1, got {threshold}")
+    uris = sorted(vocabulary.terms)
+    terms = [vocabulary.terms[uri] for uri in uris]
     mappings: list[Mapping] = []
-    for uri in sorted(vocabulary.terms):
-        term = vocabulary.terms[uri]
-        if strategy == "labels":
-            label = " ".join(term.pref_label.lower().split())
-            for lemma in sorted(store.lemma_index):
-                similarity = trigram_similarity(label, lemma.replace("_", " "))
-                if similarity < threshold:
-                    continue
+    if strategy == "labels":
+        lemmas = sorted(store.lemma_index)
+        hits = _trigram_hits(
+            [" ".join(term.pref_label.lower().split()) for term in terms],
+            [lemma.replace("_", " ") for lemma in lemmas], threshold)
+        for uri, term_hits in zip(uris, hits):
+            for index, similarity in term_hits:
+                lemma = lemmas[index]
                 for ws in store.lookup_senses(lemma):
                     mappings.append(Mapping(
                         term=uri, relation=MappingRelation.RELATED,
@@ -221,13 +265,14 @@ def trigram_baseline_mapping(vocabulary, store: WordNetStore,
                         score=similarity,
                         provenance=Provenance.LABEL, source_word=lemma,
                     ))
-        else:
-            definition = (term.definition or "").lower()
-            for sid in sorted(store.synsets, key=lambda s: s.offset):
-                similarity = trigram_similarity(definition,
-                                                store.gloss(sid).lower())
-                if similarity < threshold:
-                    continue
+    else:
+        sids = sorted(store.synsets, key=lambda s: s.offset)
+        hits = _trigram_hits(
+            [(term.definition or "").lower() for term in terms],
+            [store.gloss(sid).lower() for sid in sids], threshold)
+        for uri, term_hits in zip(uris, hits):
+            for index, similarity in term_hits:
+                sid = sids[index]
                 mappings.append(Mapping(
                     term=uri, relation=MappingRelation.RELATED,
                     synset=store.synset_name(sid),

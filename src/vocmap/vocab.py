@@ -180,6 +180,15 @@ _PLAIN_ESCAPES = {
 
 _UCHAR_WIDTHS = {"u": 4, "U": 8}
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+# every character at which str.splitlines breaks a line, as \uXXXX
+_LINE_BREAKS = {ord(c): f"\\u{ord(c):04X}"
+                for c in "\n\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029"}
+
+
+def _one_line(text: str) -> str:
+    """``text`` with its line-break characters escaped, so that a message
+    quoting input stays one line however stderr is split."""
+    return text.translate(_LINE_BREAKS)
 
 
 def _unescape(text: str, line_no: int) -> str:
@@ -210,7 +219,8 @@ def _unescape(text: str, line_no: int) -> str:
             out.append(_PLAIN_ESCAPES[esc])
             i += 2
         else:
-            raise ParseError(f"unknown escape sequence \\{esc}", line_no)
+            raise ParseError(
+                f"unknown escape sequence \\{_one_line(esc)}", line_no)
     return "".join(out)
 
 
@@ -296,8 +306,9 @@ def parse_vocabulary_ntriples(data: bytes | str, name: str = "") -> Vocabulary:
         if predicate == SKOS_PREF_LABEL:
             if lang in pref[subject]:
                 warnings.append(
-                    f"line {line_no}: repeated prefLabel for <{subject}> "
-                    f"(language {lang or 'untagged'}); keeping the first")
+                    f"line {line_no}: repeated prefLabel for "
+                    f"<{_one_line(subject)}> (language {lang or 'untagged'}); "
+                    "keeping the first")
             else:
                 pref[subject][lang] = text
         elif predicate == SKOS_ALT_LABEL:
@@ -310,7 +321,8 @@ def parse_vocabulary_ntriples(data: bytes | str, name: str = "") -> Vocabulary:
         label = _pick_by_language(pref[subject])
         if label is None or not label.strip():
             if definition[subject] or alt[subject]:
-                warnings.append(f"term <{subject}> skipped: no prefLabel")
+                warnings.append(
+                    f"term <{_one_line(subject)}> skipped: no prefLabel")
             continue
         try:
             terms.append(Term(uri=subject, pref_label=label,
@@ -366,8 +378,8 @@ def load_gold(data: bytes | str) -> MappingSet:
     for line_no, subject, predicate, obj in _iter_triples(data):
         if predicate not in _PREDICATE_TO_RELATION:
             warnings.append(
-                f"line {line_no}: predicate {predicate} is not a mapping "
-                "property; triple ignored")
+                f"line {line_no}: predicate {_one_line(predicate)} is not a "
+                "mapping property; triple ignored")
             continue
         if not _ABSOLUTE_IRI_RE.match(subject):
             raise ParseError(f"term id is not an absolute IRI: {subject!r}",

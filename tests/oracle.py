@@ -307,6 +307,9 @@ def oracle_unescape(text: str, line_no: int) -> str:
             out.append(_PLAIN_ESCAPES[esc])
             i += 2
         else:
+            # a character at which str.splitlines breaks is shown as \uXXXX
+            if len(f"a{esc}b".splitlines()) > 1:
+                esc = f"u{ord(esc):04X}"
             raise ParseError(f"unknown escape sequence \\{esc}", line_no)
     return "".join(out)
 

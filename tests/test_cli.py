@@ -584,6 +584,34 @@ class TestFailurePaths:
             == f"error: {roots}, line 2: {message}"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("brk", ["\u2028", "\x85", "\u2029"])
+    @pytest.mark.parametrize("repro", ["gold-predicate", "literal-escape"])
+    def test_line_break_in_quoted_input_stays_one_stderr_line(
+            self, paths, tmp_path, capsys, repro, brk):
+        # an IRI or an escape may hold a character at which str.splitlines
+        # breaks; the message quoting it shows that character as \uXXXX
+        shown = f"\\u{ord(brk):04X}"
+        if repro == "gold-predicate":
+            gold = tmp_path / "gold.nt"
+            base = Path(paths["gold"]).read_text()
+            gold.write_text(base + f"<{BAY}> <{brk}{SKOS}relatedMatch> "
+                            f"<{WN20_SYNSET_NS}bay-noun-1> .\n")
+            code = main(_command_args("sweep", paths, tmp_path / "o")
+                        + ["--gold", str(gold), "--taxonomy", "off",
+                           "--ol-min", "0", "--f-min", "0"])
+            expected = (f"warning: {gold}, line {base.count(chr(10)) + 1}: "
+                        f"predicate {shown}{SKOS}relatedMatch is not a "
+                        "mapping property; triple ignored")
+        else:
+            vocab = tmp_path / "esc.nt"
+            vocab.write_text(f'<{BAY}> <{SKOS}prefLabel> "a\\{brk}b" .\n')
+            code = main(_command_args("map", paths, tmp_path / "o")
+                        + ["--vocab", str(vocab)])
+            expected = (f"error: {vocab}, line 1: unknown escape sequence "
+                        f"\\{shown}")
+        assert code == (0 if repro == "gold-predicate" else 1)
+        assert capsys.readouterr().err.splitlines() == [expected]
+
     @pytest.mark.parametrize("content, message", [
         ('{"synsets": [{"offset": 1, "lemmas": [{"lemma": "bay"}], '
          '"relations": 5}]}', "synsets[0].relations must be a list"),

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vocmap.evaluation import (
@@ -17,7 +17,9 @@ from vocmap.evaluation import (
     trigram_similarity,
 )
 from vocmap.mapper import MapperConfig, map_vocabulary
-from vocmap.vocab import Mapping, MappingRelation, MappingSet
+from vocmap.vocab import (Mapping, MappingRelation, MappingSet, Term,
+                          Vocabulary)
+from vocmap.wordnet import Synset, SynsetId, WordNetStore, WordSense
 
 
 def _mset(*triples):
@@ -28,6 +30,12 @@ def _mset(*triples):
 
 
 CLOSE, RELATED = MappingRelation.CLOSE, MappingRelation.RELATED
+
+# strings whose trigrams repeat, runs of spaces, the empty string, and a
+# capital whose lower() is two characters long
+_TRIGRAM_TEXT = st.one_of(
+    st.sampled_from(("", "aaaa", "abab", "a   b", "İ", "aİa")),
+    st.text(alphabet="abİ _", max_size=8))
 
 
 def _pr(machine, gold):
@@ -312,3 +320,32 @@ class TestTrigramBaseline:
         result = trigram_baseline_mapping(mini_vocab, mini_store, 0.9,
                                           strategy="labels")
         assert all(0.9 <= m.score <= 1.0 for m in result)
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=_TRIGRAM_TEXT, b=_TRIGRAM_TEXT)
+    @example(a="aaaa", b="aaaa")
+    @example(a="abab", b="ab")
+    @example(a="İ", b="İ")
+    def test_pair_found_exactly_at_its_similarity(self, a, b):
+        # one synset whose lemma and gloss are b, one term whose label and
+        # definition are a; the skips before scoring must keep the pair at
+        # its own similarity, and only there
+        sid = SynsetId("n", 1)
+        store = WordNetStore([Synset(sid, (WordSense(b, sid, 1, 0),), b)])
+        # a preferred label is never blank
+        vocabulary = Vocabulary([Term(uri="http://example.org/t",
+                                      pref_label=a if a.strip() else "t",
+                                      definition=a)])
+        cases = [("definitions", a.lower(), b.lower())]
+        if a.strip():
+            cases.append(("labels", " ".join(a.lower().split()),
+                          b.replace("_", " ")))
+        for strategy, query, target in cases:
+            threshold = trigram_similarity(query, target)
+            found = trigram_baseline_mapping(vocabulary, store, threshold,
+                                             strategy=strategy)
+            assert [m.score for m in found] == [threshold], strategy
+            if threshold < 1:
+                assert not trigram_baseline_mapping(
+                    vocabulary, store, math.nextafter(threshold, 2),
+                    strategy=strategy), strategy
