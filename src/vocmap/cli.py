@@ -25,6 +25,15 @@ class _UsageError(Exception):
     """A flag value the command cannot run with (exit code 2)."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors take the one ``error:`` path; its
+    subcommand parsers are of the same class."""
+
+    def error(self, message):
+        # 'unrecognized arguments:' quotes argv as given
+        raise _UsageError(vocab._one_line(f"{self.prog}: {message}"))
+
+
 def _fail(message: str, code: int = 1) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
@@ -293,7 +302,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
 # Parser
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vocmap",
         description="Map SKOS vocabulary terms onto WordNet noun synsets.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -359,8 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         return _fail(str(exc), code=2)

@@ -239,9 +239,10 @@ def trigram_baseline_mapping(vocabulary, store: WordNetStore,
     """Fuzzy string-matching baseline.
 
     The 'labels' strategy compares term labels against word-sense lemmas;
-    'definitions' compares term definitions against synset glosses.  Every
-    pair at or above the threshold yields a related mapping, and all
-    matching senses are kept: the baseline has no notion of sense salience.
+    'definitions' compares term definitions against synset glosses, and
+    leaves out a term without a definition.  Every pair at or above the
+    threshold yields a related mapping, and all matching senses are kept:
+    the baseline has no notion of sense salience.
     """
     if strategy not in ("labels", "definitions"):
         raise ValueError(f"unknown strategy: {strategy!r}")
@@ -266,9 +267,11 @@ def trigram_baseline_mapping(vocabulary, store: WordNetStore,
                         provenance=Provenance.LABEL, source_word=lemma,
                     ))
     else:
+        # a term without a definition has nothing to compare
+        uris = [uri for uri, term in zip(uris, terms) if term.definition]
         sids = sorted(store.synsets, key=lambda s: s.offset)
         hits = _trigram_hits(
-            [(term.definition or "").lower() for term in terms],
+            [vocabulary.terms[uri].definition.lower() for uri in uris],
             [store.gloss(sid).lower() for sid in sids], threshold)
         for uri, term_hits in zip(uris, hits):
             for index, similarity in term_hits:

@@ -255,37 +255,33 @@ def select_best(candidates: Sequence[Candidate]) -> tuple[Candidate, float]:
     """The candidate with maximum salience, and that salience, from one
     ranking by sorting.
 
-    Ties break deterministically: higher frequency, then lower synset
-    offset, then lemma and sense number.
+    Salience falls strictly as rank(f) + rank(ol) grows, so the winner has
+    the least rank sum.  Ties break deterministically: higher frequency,
+    then lower synset offset, then lemma and sense number.
     """
     if not candidates:
         raise ValueError("cannot select from an empty candidate set")
-    n = len(candidates)
     ranked = zip(candidates, _desc_ranks([c.f for c in candidates]),
                  _desc_ranks([c.ol for c in candidates]))
     best, rank_f, rank_ol = min(ranked, key=lambda r: (
-        -_salience(n, r[1], r[2]), -r[0].f, r[0].synset.offset,
+        r[1] + r[2], -r[0].f, r[0].synset.offset,
         r[0].word_sense.lemma, r[0].word_sense.sense_number))
-    return best, _salience(n, rank_f, rank_ol)
-
-
-def assign_relation(best: Candidate,
-                    candidates: Sequence[Candidate]) -> MappingRelation:
-    """Close only for a complete match that also maximizes both overlap and
-    frequency over the candidate set; related otherwise.  Never exact."""
-    max_ol = max(c.ol for c in candidates)
-    max_f = max(c.f for c in candidates)
-    if (best.match_kind is MatchKind.COMPLETE
-            and best.ol == max_ol and best.f == max_f):
-        return MappingRelation.CLOSE
-    return MappingRelation.RELATED
+    return best, _salience(len(candidates), rank_f, rank_ol)
 
 
 def _pick(uri: str, forms: tuple, config: MapperConfig, store: WordNetStore,
           definition_term: str | None = None) -> Mapping | None:
     """The mapping of one pass: the best of the first form with any row
-    left after the filters, or None.  A pass for a term extracted from the
-    definition always yields a related mapping."""
+    left after the filters, or None.
+
+    A label pass maps close only when its winner is a complete match with
+    salience 1, that is, with the top f and the top ol among the kept rows;
+    otherwise, and always for a term extracted from the definition, it maps
+    related.  Comparing the float with 1.0 is exact: salience 1 is
+    (2n - 1) / (2n - 1), reached only with both ranks 1, and any larger
+    rank sum gives a smaller integer numerator over the same denominator,
+    a quotient that division rounds to below 1.
+    """
     for form, rows, max_f, max_ol in forms:
         if max_f < config.f_min or max_ol < config.ol_min:
             continue  # no row of this form passes
@@ -297,9 +293,11 @@ def _pick(uri: str, forms: tuple, config: MapperConfig, store: WordNetStore,
             continue
         best, score = select_best(kept)
         label_pass = definition_term is None
+        close = (label_pass and best.match_kind is MatchKind.COMPLETE
+                 and score == 1.0)
         return Mapping(
             term=uri, synset=store.synset_name(best.synset),
-            relation=assign_relation(best, kept) if label_pass
+            relation=MappingRelation.CLOSE if close
             else MappingRelation.RELATED, score=score,
             provenance=Provenance.LABEL if label_pass
             else Provenance.DEFINITION,

@@ -266,11 +266,12 @@ def _iter_triples(data: bytes | str):
 
 
 def _pick_by_language(values: dict[str | None, str]) -> str | None:
-    """Prefer English, then untagged, then first-seen."""
+    """Prefer English, then untagged, then first-seen; tags are in lower
+    case."""
     if "en" in values:
         return values["en"]
     for lang, text in values.items():
-        if lang and lang.lower().startswith("en-"):
+        if lang and lang.startswith("en-"):
             return text
     if None in values:
         return values[None]
@@ -281,8 +282,9 @@ def parse_vocabulary_ntriples(data: bytes | str, name: str = "") -> Vocabulary:
     """Parse a SKOS vocabulary from N-Triples.
 
     One term is built per subject that carries at least one prefLabel.
-    Only the first prefLabel (and definition) per language tag is kept;
-    repeats are recorded as warnings.  Every other predicate is ignored.
+    Only the first prefLabel (and definition) per language tag, compared
+    case-insensitively, is kept; repeats are recorded as warnings.  Every
+    other predicate is ignored.
     """
     pref: dict[str, dict[str | None, str]] = {}
     definition: dict[str, dict[str | None, str]] = {}
@@ -298,6 +300,7 @@ def parse_vocabulary_ntriples(data: bytes | str, name: str = "") -> Vocabulary:
                 f"line {line_no}: non-literal object for {predicate}; ignored")
             continue
         _, text, lang = obj
+        lang = lang and lang.lower()  # RDF language tags are case-insensitive
         if subject not in pref:
             pref[subject] = {}
             definition[subject] = {}

@@ -224,8 +224,9 @@ def oracle_trigram_baseline(vocabulary, store, threshold,
     collapsed to one space and trimmed, with each lemma (underscores read
     as spaces) in sorted order, and emits the lemma's senses by sense
     number.  'definitions' compares the lowercased definition with each
-    lowercased gloss, synsets by offset, and names the first lemma.  A
-    triple met twice keeps its first tuple.
+    lowercased gloss, synsets by offset, and names the first lemma; a term
+    with no definition, or an empty one, matches nothing.  A triple met
+    twice keeps its first tuple.
     """
     synsets = sorted(store.synsets.values(), key=lambda s: s.id.offset)
     results: dict[tuple, tuple] = {}
@@ -242,8 +243,8 @@ def oracle_trigram_baseline(vocabulary, store, threshold,
                               for sense in sorted(
                                   (s for s in senses if s.lemma == lemma),
                                   key=lambda s: s.sense_number)]
-        else:
-            definition = (term.definition or "").lower()
+        elif term.definition:
+            definition = term.definition.lower()
             for synset in synsets:
                 score = oracle_dice(definition, synset.gloss.lower())
                 if score >= threshold:

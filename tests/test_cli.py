@@ -317,6 +317,13 @@ class TestCmdTaxonomy:
                      "--roots", str(roots), "--out", str(out)]) == 0
         assert out.read_text() == "riverbed-noun-1\n# count: 1\n"
 
+    def test_without_out_writes_to_stdout(self, paths, tmp_path, capsys):
+        roots = tmp_path / "roots.txt"
+        roots.write_text("riverbed-noun-1\n")
+        assert main(["taxonomy", "--wordnet", paths["wordnet"],
+                     "--roots", str(roots)]) == 0
+        assert capsys.readouterr() == ("riverbed-noun-1\n# count: 1\n", "")
+
     def test_unknown_root_exits_1_naming_it(self, paths, tmp_path, capsys):
         roots = tmp_path / "roots.txt"
         roots.write_text("unicorn-noun-1\n")
@@ -345,11 +352,11 @@ class TestCmdBaseline:
         assert len(triples) == 7
         assert all(r.value == "related" for _, r, _ in triples)
 
-    def test_bad_kind_is_usage_error(self, paths):
-        with pytest.raises(SystemExit) as err:
-            main(["baseline", "--kind", "bogus", "--vocab", paths["vocab"],
-                  "--wordnet", paths["wordnet"]])
-        assert err.value.code == 2
+    def test_bad_kind_is_usage_error(self, paths, capsys):
+        assert main(["baseline", "--kind", "bogus", "--vocab", paths["vocab"],
+                     "--wordnet", paths["wordnet"]]) == 2
+        assert "--kind: invalid choice: 'bogus'" in _single_error_line(
+            capsys.readouterr().err)
 
     def test_trigram_definitions_scores_below_tuned_mapper(self, paths,
                                                            tmp_path, capsys):
@@ -502,6 +509,32 @@ class TestFailurePaths:
         assert message in _single_error_line(capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["map", "--vocab", "x"], "error: vocmap map: the following "
+                                  "arguments are required: --wordnet"),
+        (["map", "--vocab", "x", "--wordnet", "y", "--min-freq", "abc"],
+         "error: vocmap map: argument --min-freq: invalid int value: 'abc'"),
+        (["mop"], "error: vocmap: argument command: invalid choice: 'mop' "
+                  "(choose from 'map', 'sweep', 'eval', 'taxonomy', "
+                  "'baseline')"),
+        ([], "error: vocmap: the following arguments are required: command"),
+        (["map", "--vocab", "x", "--wordnet", "y", "--zzz"],
+         "error: vocmap: unrecognized arguments: --zzz"),
+        (["map", "--vocab", "x", "--wordnet", "y", "a\nb\u2028c"],
+         "error: vocmap: unrecognized arguments: a\\u000Ab\\u2028c"),
+    ])
+    def test_argparse_error_is_one_usage_line(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert _single_error_line(captured.err) == message
+        assert captured.out == ""
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["map", "--help"])
+        assert err.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: vocmap map ")
+
     def test_malformed_grid_value_in_config_is_usage_error(self, paths,
                                                            tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -510,6 +543,18 @@ class TestFailurePaths:
                     + ["--config", str(cfg)])
         assert code == 2
         assert "--taxonomy" in _single_error_line(capsys.readouterr().err)
+
+    def test_triple_without_object_names_file_and_line(self, paths, tmp_path,
+                                                       capsys):
+        # one space between the predicate and the final '.'
+        bad = tmp_path / "bad.nt"
+        bad.write_text(f'<{BAY}> <{SKOS}prefLabel> "bay" .\n'
+                       f'<{BAY}> <{SKOS}prefLabel> .\n')
+        code = main(_command_args("map", paths, tmp_path / "o")
+                    + ["--vocab", str(bad)])
+        assert code == 1
+        assert _single_error_line(capsys.readouterr().err) \
+            == f"error: {bad}, line 2: malformed triple"
 
     @pytest.mark.parametrize("command, flag", [
         ("map", "--vocab"),

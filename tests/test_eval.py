@@ -311,6 +311,27 @@ class TestTrigramBaseline:
         assert len(strict) <= len(loose)
         assert len(loose) == 5 * 24
 
+    @pytest.mark.parametrize("threshold", [0.9, 0.0])
+    @pytest.mark.parametrize("definition", [None, ""])
+    def test_term_without_definition_matches_nothing(self, threshold,
+                                                      definition):
+        bay, sea = SynsetId("n", 1), SynsetId("n", 2)
+        store = WordNetStore([
+            Synset(bay, (WordSense("bay", bay, 1, 0),), ""),
+            Synset(sea, (WordSense("sea", sea, 1, 0),), "a body of water")])
+        vocabulary = Vocabulary([
+            Term(uri="http://example.org/harbour", pref_label="harbour",
+                 definition=definition),
+            Term(uri="http://example.org/sea", pref_label="sea",
+                 definition="a body of water")])
+        result = trigram_baseline_mapping(vocabulary, store, threshold,
+                                          strategy="definitions")
+        # only the defined term is compared, with every gloss at 0
+        synsets = ["sea-noun-1"] if threshold else ["bay-noun-1",
+                                                    "sea-noun-1"]
+        assert [(m.term, m.synset) for m in result] == [
+            ("http://example.org/sea", synset) for synset in synsets]
+
     def test_unknown_strategy_rejected(self, mini_store, mini_vocab):
         with pytest.raises(ValueError):
             trigram_baseline_mapping(mini_vocab, mini_store, 0.5,
@@ -336,7 +357,8 @@ class TestTrigramBaseline:
         vocabulary = Vocabulary([Term(uri="http://example.org/t",
                                       pref_label=a if a.strip() else "t",
                                       definition=a)])
-        cases = [("definitions", a.lower(), b.lower())]
+        # an empty definition has nothing to compare
+        cases = [("definitions", a.lower(), b.lower())] if a else []
         if a.strip():
             cases.append(("labels", " ".join(a.lower().split()),
                           b.replace("_", " ")))

@@ -21,7 +21,6 @@ from vocmap.mapper import (
     MatchKind,
     _desc_ranks,
     _passes,
-    assign_relation,
     find_candidates,
     find_semantic_mapping,
     map_vocabulary,
@@ -191,34 +190,79 @@ class TestSelectBest:
         best, score = select_best(cands)
         assert best is pairwise
         assert score == salience(pairwise, cands)
+        assert (score == 1.0) == (best.f == max(c.f for c in cands)
+                                  and best.ol == max(c.ol for c in cands))
 
 
-class TestAssignRelation:
-    def test_singleton_complete_is_close(self):
-        c = _candidate(1, f=1, ol=0)
-        assert assign_relation(c, [c]) is MappingRelation.CLOSE
+def _bay_store(senses, extra=()):
+    """A store whose lemma 'bay' has one synset per (frequency, gloss), in
+    sense order, plus the synsets in ``extra``."""
+    return load_fixture(json.dumps({"synsets": [
+        {"offset": 10 * (i + 1),
+         "lemmas": [{"lemma": "bay", "sense_number": i + 1,
+                     "frequency": f}],
+         "gloss": gloss, "relations": []}
+        for i, (f, gloss) in enumerate(senses)] + list(extra)}))
 
-    def test_complete_but_not_max_frequency_is_related(self):
-        best = _candidate(1, f=1, ol=5)
-        rival = _candidate(2, f=9, ol=0, kind=MatchKind.PARTIAL)
-        assert assign_relation(best, [best, rival]) is MappingRelation.RELATED
 
-    def test_partial_never_close(self):
-        c = _candidate(1, f=9, ol=9, kind=MatchKind.PARTIAL)
-        assert assign_relation(c, [c]) is MappingRelation.RELATED
+class TestRelation:
+    def test_one_complete_sense_maps_close(self):
+        store = _bay_store([(0, "an inlet")])
+        mapping = find_semantic_mapping(Term(uri=BAY, pref_label="Bay"),
+                                        store, MapperConfig())
+        assert (mapping.relation, mapping.synset, mapping.score) == (
+            MappingRelation.CLOSE, "bay-noun-1", 1.0)
+
+    def test_complete_winner_without_the_top_overlap_maps_related(self):
+        # ranks (f, ol): (1, 3), (2, 2), (3, 1); every rank sum is 4, and
+        # the higher frequency breaks the tie
+        store = _bay_store([(10, "a recess"), (5, "an alpha inlet"),
+                            (1, "an alpha beta inlet")])
+        term = Term(uri=BAY, pref_label="bay", definition="alpha beta")
+        mapping = find_semantic_mapping(term, store, MapperConfig())
+        assert (mapping.relation, mapping.synset, mapping.score) == (
+            MappingRelation.RELATED, "bay-noun-1", 0.6)
+
+    def test_partial_winner_maps_related(self):
+        store = _bay_store([(9, "an inlet")])
+        mapping = find_semantic_mapping(
+            Term(uri=BAY, pref_label="bay window"), store, MapperConfig())
+        assert (mapping.relation, mapping.synset, mapping.score) == (
+            MappingRelation.RELATED, "bay-noun-1", 1.0)
 
 
 class TestRelationNeverExact:
-    def test_random_candidate_sets(self):
+    def test_random_stores(self):
+        # close exactly when the winner is complete and has the top f and
+        # the top ol among the kept rows
         rng = random.Random(11)
-        for _ in range(500):
-            n = rng.randint(1, 6)
-            cands = [_candidate(i, f=rng.randint(0, 50),
-                                ol=rng.randint(0, 10),
-                                kind=rng.choice(list(MatchKind)))
-                     for i in range(n)]
-            relation = assign_relation(select_best(cands)[0], cands)
-            assert relation in (MappingRelation.CLOSE, MappingRelation.RELATED)
+        words = ["alpha", "beta", "gamma", "delta"]
+        for _ in range(300):
+            store = _bay_store(
+                [(rng.randint(0, 5), " ".join(rng.sample(words, 2)))
+                 for _ in range(rng.randint(1, 4))],
+                extra=[{"offset": 1000, "lemmas": [
+                    {"lemma": "bay_window", "sense_number": 1,
+                     "frequency": rng.randint(0, 5)}],
+                    "gloss": " ".join(rng.sample(words, 2)),
+                    "relations": []}])
+            term = Term(uri=BAY, pref_label=rng.choice(["bay window", "bay"]),
+                        definition=" ".join(rng.sample(words, 2)))
+            config = MapperConfig(f_min=rng.randint(0, 2),
+                                  ol_min=rng.randint(0, 1))
+            cands = find_candidates(term, term.pref_label, store, config)
+            mapping = find_semantic_mapping(term, store, config)
+            if not cands:
+                assert mapping is None
+                continue
+            best = select_best(cands)[0]
+            assert mapping.synset == store.synset_name(best.synset)
+            assert mapping.relation is (
+                MappingRelation.CLOSE
+                if best.match_kind is MatchKind.COMPLETE
+                and best.f == max(c.f for c in cands)
+                and best.ol == max(c.ol for c in cands)
+                else MappingRelation.RELATED)
 
 
 class TestFindSemanticMapping:

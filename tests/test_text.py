@@ -105,6 +105,15 @@ class TestNormalizeDefinition:
         assert normalize_definition("of the and", set(), mini_store,
                                     default_stopwords()) == frozenset()
 
+    def test_stopword_reached_only_by_lemmatization(self):
+        # 'others' is no stopword, but its base form 'other' is
+        store = _store("other", "river")
+        stopwords = default_stopwords()
+        assert "others" not in stopwords and "other" in stopwords
+        assert lemmatize_noun("others", store) == "other"
+        assert normalize_definition("others rivers", (), store,
+                                    stopwords) == {"river"}
+
     def test_idempotent_on_own_output(self, mini_store):
         stopwords = default_stopwords()
         texts = [

@@ -105,6 +105,32 @@ class TestParseVocabulary:
         )
         assert parse_vocabulary_ntriples(data).terms[BAY].pref_label == "bay"
 
+    @pytest.mark.parametrize("tag", ["en", "EN", "En-GB", "en-gb"])
+    def test_english_tag_preferred_in_any_case(self, tag):
+        # a tag beginning 'en-' also wins over the untagged label
+        data = (
+            f'<{BAY}> <{SKOS}prefLabel> "baie"@fr .\n'
+            f'<{BAY}> <{SKOS}prefLabel> "bae" .\n'
+            f'<{BAY}> <{SKOS}prefLabel> "bay"@{tag} .\n'
+            f'<{BAY}> <{SKOS}definition> "Une baie."@FR .\n'
+            f'<{BAY}> <{SKOS}definition> "A bay."@{tag} .\n'
+        )
+        vocabulary = parse_vocabulary_ntriples(data)
+        assert vocabulary.terms[BAY] == Term(uri=BAY, pref_label="bay",
+                                             definition="A bay.")
+        assert vocabulary.warnings == []
+
+    def test_tag_repeated_in_another_case_warns_once(self):
+        data = (
+            f'<{BAY}> <{SKOS}prefLabel> "bay"@en .\n'
+            f'<{BAY}> <{SKOS}prefLabel> "inlet"@EN .\n'
+        )
+        vocabulary = parse_vocabulary_ntriples(data)
+        assert vocabulary.terms[BAY].pref_label == "bay"
+        assert vocabulary.warnings == [
+            f"line 2: repeated prefLabel for <{BAY}> (language en); "
+            "keeping the first"]
+
     def test_link_predicates_are_ignored_silently(self):
         data = (
             f'<{BAY}> <{SKOS}prefLabel> "bay" .\n'

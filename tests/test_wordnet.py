@@ -274,6 +274,38 @@ class TestWndbLoader:
             load_wndb(index, data, cntlist)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("data, index, message", [
+        (b"00000001 17 n 01 bay 0 000 | a\n00000001 17 n 01 sea 0 000 | b\n",
+         b"", "data.noun, line 2: duplicate synset offset 1"),
+        # index lemmas are read in lower case
+        (b"00000001 17 n 01 bay 0 000 | a\n",
+         b"bay n 1 0 1 0 00000001\nBay n 1 0 1 0 00000001\n",
+         "index.noun, line 2: duplicate index entry for 'bay'"),
+    ], ids=["synset-offset", "index-entry"])
+    def test_duplicate_record_names_file_and_line(self, data, index,
+                                                  message):
+        with pytest.raises(LoadError) as err:
+            load_wndb(index, data)
+        assert str(err.value) == message
+
+    def test_dir_loader_needs_a_directory(self, tmp_path):
+        (tmp_path / "data.noun").write_bytes(b"")
+        for path in (tmp_path / "absent", tmp_path / "data.noun"):
+            with pytest.raises(LoadError) as err:
+                load_wndb_dir(path)
+            assert str(err.value) == f"not a directory: {path}"
+
+    @pytest.mark.parametrize("present, missing", [
+        ((), "index.noun"), (("index.noun",), "data.noun"),
+        (("data.noun", "cntlist.rev", "noun.exc"), "index.noun")])
+    def test_dir_loader_names_the_missing_required_file(
+            self, tmp_path, present, missing):
+        for name in present:
+            (tmp_path / name).write_bytes(b"")
+        with pytest.raises(LoadError) as err:
+            load_wndb_dir(tmp_path)
+        assert str(err.value) == f"missing required file: {tmp_path / missing}"
+
     def test_fixture_and_wndb_loaders_are_interchangeable(self, fixtures_dir):
         from_wndb = load_wndb_dir(fixtures_dir / "wndb")
         from_json = load_fixture((fixtures_dir / "wndb_equiv.json").read_bytes())
