@@ -31,12 +31,17 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         # 'unrecognized arguments:' quotes argv as given
-        raise _UsageError(vocab._one_line(f"{self.prog}: {message}"))
+        raise _UsageError(f"{self.prog}: {message}")
 
 
 def _fail(message: str, code: int = 1) -> int:
-    print(f"error: {message}", file=sys.stderr)
+    print(vocab._one_line(f"error: {message}"), file=sys.stderr)
     return code
+
+
+def _warn(message: str) -> None:
+    """One ``warning:`` line on stderr, however stderr is split."""
+    print(vocab._one_line(f"warning: {message}"), file=sys.stderr)
 
 
 def _load_store(path: str) -> wordnet.WordNetStore:
@@ -70,7 +75,7 @@ def _load_gold(path: str) -> vocab.MappingSet:
     stderr."""
     gold = _parse_file(path, vocab.load_gold)
     for warning in gold.warnings:
-        print(f"warning: {path}, {warning}", file=sys.stderr)
+        _warn(f"{path}, {warning}")
     return gold
 
 
@@ -235,12 +240,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     vocabulary = _parse_file(args.vocab, vocab.parse_vocabulary_ntriples)
     gold = _load_gold(args.gold)
     if gold.triples and not {m.term for m in gold} & vocabulary.terms.keys():
-        print(f"warning: {args.gold} shares no terms with {args.vocab}",
-              file=sys.stderr)
+        _warn(f"{args.gold} shares no terms with {args.vocab}")
     unknown = _unknown_gold_synsets(gold, store)
     if unknown:
-        print(f"warning: {len(unknown)} gold synset names are not in the "
-              f"store, first {unknown[0]}", file=sys.stderr)
+        _warn(f"{len(unknown)} gold synset names are not in the store, "
+              f"first {unknown[0]}")
     taxonomy = None
     if taxonomy_on:
         taxonomy = store.taxonomy_closure(_read_roots(args.taxonomy_roots,

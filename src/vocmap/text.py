@@ -14,7 +14,7 @@ from functools import lru_cache
 from importlib import resources
 from typing import Iterable
 
-_TOKEN_RE = re.compile(r"[a-z0-9-]+")
+_TOKEN_RE = re.compile(r"[a-z0-9]+(?:-+[a-z0-9]+)*")
 
 #: Suffix-detachment rules tried in order; the first candidate present in the
 #: store's lemma index wins.
@@ -39,13 +39,9 @@ def default_stopwords() -> frozenset[str]:
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase maximal runs of letters, digits, and hyphens, in order."""
-    tokens = []
-    for match in _TOKEN_RE.findall(text.lower()):
-        token = match.strip("-")
-        if token:
-            tokens.append(token)
-    return tokens
+    """Lowercase maximal runs of letters and digits joined by inner hyphens,
+    in order; a token never starts or ends with a hyphen."""
+    return _TOKEN_RE.findall(text.lower())
 
 
 def lemmatize_noun(token: str, store) -> str:
@@ -116,25 +112,18 @@ def extract_definition_terms(definition: str | None, store,
     excluded = frozenset(exclude)
     tokens = tokenize(definition or "")
     found: list[str] = []
-    seen: set[str] = set()
-
-    def _push(lemma: str) -> None:
-        if lemma not in seen and lemma not in excluded:
-            seen.add(lemma)
-            found.append(lemma)
-
     i = 0
     while i < len(tokens):
         if i + 1 < len(tokens):
             bigram = lemmatize_noun(tokens[i] + "_" + tokens[i + 1], store)
             if store.has_lemma(bigram):
-                _push(bigram)
+                found.append(bigram)
                 i += 2
                 continue
         token = tokens[i]
         if token not in stopwords:
             lemma = lemmatize_noun(token, store)
             if store.has_lemma(lemma):
-                _push(lemma)
+                found.append(lemma)
         i += 1
-    return found
+    return [t for t in dict.fromkeys(found) if t not in excluded]

@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from string import hexdigits
 from typing import Iterable, Iterator
 
 SKOS = "http://www.w3.org/2004/02/skos/core#"
@@ -178,8 +179,9 @@ _PLAIN_ESCAPES = {
     '"': '"', "'": "'", "\\": "\\",
 }
 
-_UCHAR_WIDTHS = {"u": 4, "U": 8}
-_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+# \u and \U take up to their count of digits, so a short one reaches the
+# digit check; any other escape is one character
+_ESCAPE_RE = re.compile(r"\\(?:u(.{0,4})|U(.{0,8})|(.))", re.DOTALL)
 # every character at which str.splitlines breaks a line, as \uXXXX
 _LINE_BREAKS = {ord(c): f"\\u{ord(c):04X}"
                 for c in "\n\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029"}
@@ -194,34 +196,25 @@ def _one_line(text: str) -> str:
 def _unescape(text: str, line_no: int) -> str:
     if "\\" not in text:
         return text
-    out: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch != "\\":
-            out.append(ch)
-            i += 1
-            continue
-        esc = text[i + 1]
-        if esc in _UCHAR_WIDTHS:
-            width = _UCHAR_WIDTHS[esc]
-            digits = text[i + 2:i + 2 + width]
-            if len(digits) != width or not _HEX_DIGITS.issuperset(digits):
-                raise ParseError(f"\\{esc} needs exactly {width} hex digits",
-                                 line_no)
-            code = int(digits, 16)
-            if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
-                raise ParseError(f"\\{esc}{digits} is not a Unicode scalar "
-                                 "value", line_no)
-            out.append(chr(code))
-            i += 2 + width
-        elif esc in _PLAIN_ESCAPES:
-            out.append(_PLAIN_ESCAPES[esc])
-            i += 2
-        else:
-            raise ParseError(
-                f"unknown escape sequence \\{_one_line(esc)}", line_no)
-    return "".join(out)
+
+    def _decode(match: re.Match) -> str:
+        esc, digits = match[0][1], match[0][2:]
+        if match[3] is not None:
+            if esc not in _PLAIN_ESCAPES:
+                raise ParseError(
+                    f"unknown escape sequence \\{_one_line(esc)}", line_no)
+            return _PLAIN_ESCAPES[esc]
+        width = 4 if esc == "u" else 8
+        if len(digits) != width or not all(c in hexdigits for c in digits):
+            raise ParseError(f"\\{esc} needs exactly {width} hex digits",
+                             line_no)
+        code = int(digits, 16)
+        if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+            raise ParseError(f"\\{esc}{digits} is not a Unicode scalar "
+                             "value", line_no)
+        return chr(code)
+
+    return _ESCAPE_RE.sub(_decode, text)
 
 
 def _iter_triples(data: bytes | str):
@@ -283,12 +276,14 @@ def parse_vocabulary_ntriples(data: bytes | str, name: str = "") -> Vocabulary:
 
     One term is built per subject that carries at least one prefLabel.
     Only the first prefLabel (and definition) per language tag, compared
-    case-insensitively, is kept; repeats are recorded as warnings.  Every
-    other predicate is ignored.
+    case-insensitively, is kept; repeats are recorded as warnings.  A term
+    keeps the altLabels tagged ``en`` or ``en-*``, or untagged, in file
+    order, whatever the language of its prefLabel: the store is English
+    WordNet.  Every other predicate is ignored.
     """
     pref: dict[str, dict[str | None, str]] = {}
     definition: dict[str, dict[str | None, str]] = {}
-    alt: dict[str, list[str]] = {}
+    alt: dict[str, list[tuple[str | None, str]]] = {}
     first_line: dict[str, int] = {}  # subjects in order, with their line
     warnings: list[str] = []
 
@@ -315,7 +310,7 @@ def parse_vocabulary_ntriples(data: bytes | str, name: str = "") -> Vocabulary:
             else:
                 pref[subject][lang] = text
         elif predicate == SKOS_ALT_LABEL:
-            alt[subject].append(text)
+            alt[subject].append((lang, text))
         elif lang not in definition[subject]:
             definition[subject][lang] = text
 
@@ -327,9 +322,11 @@ def parse_vocabulary_ntriples(data: bytes | str, name: str = "") -> Vocabulary:
                 warnings.append(
                     f"term <{_one_line(subject)}> skipped: no prefLabel")
             continue
+        alt_labels = tuple(text for lang, text in alt[subject]
+                           if lang in (None, "en") or lang.startswith("en-"))
         try:
             terms.append(Term(uri=subject, pref_label=label,
-                              alt_labels=tuple(alt[subject]),
+                              alt_labels=alt_labels,
                               definition=_pick_by_language(definition[subject])))
         except ValueError as exc:  # a relative subject IRI
             raise ParseError(str(exc), line_no) from None

@@ -3,8 +3,10 @@
 Independently re-implements candidate generation (exhaustive scan of every
 word sense, naive containment matching), the three filters, direct rank and
 salience computation, best-candidate selection, relation assignment, and the
-two-pass vocabulary driver.  It shares only the text-normalization helpers
-and the data model with the production code, and uses no index shortcuts.
+two-pass vocabulary driver.  It keeps its own tokenizer and definition-term
+extractor, as the character loops the production patterns replaced; it
+shares only the other text-normalization helpers and the data model with
+the production code, and uses no index shortcuts.
 
 For the trigram baselines it scans every lemma or gloss, and counts shared
 character trigrams by merging two sorted lists, with no ``Counter`` and no
@@ -23,12 +25,54 @@ import re
 from vocmap.text import (
     compound_candidates,
     default_stopwords,
-    extract_definition_terms,
     lemmatize_noun,
     normalize_definition,
-    tokenize,
 )
 from vocmap.vocab import ParseError
+
+
+def oracle_tokenize(text: str) -> list[str]:
+    """Lowercase runs of letters, digits and hyphens, each stripped of its
+    outer hyphens; a run of hyphens alone is dropped."""
+    tokens = []
+    for match in re.findall(r"[a-z0-9-]+", text.lower()):
+        token = match.strip("-")
+        if token:
+            tokens.append(token)
+    return tokens
+
+
+def oracle_extract_definition_terms(definition, store, stopwords,
+                                    exclude=()) -> list[str]:
+    """Definition terms by one left-to-right walk: a token pair that
+    lemmatizes to a store collocation is taken whole, else a non-stopword
+    token whose lemma the store holds; each kept once, at its first
+    occurrence, unless ``exclude`` names it."""
+    excluded = frozenset(exclude)
+    tokens = oracle_tokenize(definition or "")
+    found: list[str] = []
+    seen: set[str] = set()
+
+    def _push(lemma: str) -> None:
+        if lemma not in seen and lemma not in excluded:
+            seen.add(lemma)
+            found.append(lemma)
+
+    i = 0
+    while i < len(tokens):
+        if i + 1 < len(tokens):
+            bigram = lemmatize_noun(tokens[i] + "_" + tokens[i + 1], store)
+            if store.has_lemma(bigram):
+                _push(bigram)
+                i += 2
+                continue
+        token = tokens[i]
+        if token not in stopwords:
+            lemma = lemmatize_noun(token, store)
+            if store.has_lemma(lemma):
+                _push(lemma)
+        i += 1
+    return found
 
 
 def lexical_match(lemma: str, label: str) -> str | None:
@@ -36,7 +80,7 @@ def lexical_match(lemma: str, label: str) -> str | None:
     'partial' when it occurs as a contiguous window of it, None otherwise,
     by direct token-window comparison."""
     lemma_tokens = [t for t in lemma.split("_") if t]
-    label_tokens = tokenize(label)
+    label_tokens = oracle_tokenize(label)
     if not lemma_tokens or not label_tokens:
         return None
     if lemma_tokens == label_tokens:
@@ -129,7 +173,7 @@ def oracle_map_vocabulary(vocabulary, store, ol_min=0, f_min=0,
     for uri in sorted(vocabulary.terms):
         term = vocabulary.terms[uri]
         label_exclude = {lemmatize_noun(t, store)
-                         for t in tokenize(term.pref_label)}
+                         for t in oracle_tokenize(term.pref_label)}
         labels = (term.pref_label,) + (term.alt_labels if use_alt_labels
                                        else ())
         for label in labels:
@@ -141,10 +185,11 @@ def oracle_map_vocabulary(vocabulary, store, ol_min=0, f_min=0,
                              "label", form))
                 break
         d_exclude = set(compound_candidates(term.pref_label)) | label_exclude
-        for d in extract_definition_terms(term.definition, store, stopwords,
-                                          exclude=d_exclude):
+        for d in oracle_extract_definition_terms(
+                term.definition, store, stopwords, exclude=d_exclude):
             hit = _map_label(d, term.definition,
-                             {lemmatize_noun(t, store) for t in tokenize(d)},
+                             {lemmatize_noun(t, store)
+                              for t in oracle_tokenize(d)},
                              store, ol_min, f_min, taxonomy)
             if hit is None:
                 continue
@@ -169,9 +214,9 @@ def oracle_random_baseline(vocabulary, store, seed=0) -> set[tuple]:
         term = vocabulary.terms[uri]
         rng = random.Random(f"{seed}:{uri}")
         exclude = set(compound_candidates(term.pref_label)) | {
-            lemmatize_noun(t, store) for t in tokenize(term.pref_label)}
+            lemmatize_noun(t, store) for t in oracle_tokenize(term.pref_label)}
         passes = [(None, term.pref_label)] + [
-            (d, d) for d in extract_definition_terms(
+            (d, d) for d in oracle_extract_definition_terms(
                 term.definition, store, stopwords, exclude=exclude)]
         for d, label in passes:
             for form in compound_candidates(label):

@@ -76,6 +76,21 @@ class TestCmdMap:
                     for uri, rel, synset, _, _, _ in oracle}
         assert produced == expected
 
+    @pytest.mark.parametrize("tag, mapped", [
+        ("@fr", False), ("@en-GB", True), ("@EN", True), ("", True)])
+    def test_alt_label_in_another_language_is_not_a_form(
+            self, paths, tmp_path, tag, mapped):
+        term = "http://example.org/t/q"
+        vocab = tmp_path / "alt.nt"
+        vocab.write_text(f'<{term}> <{SKOS}prefLabel> "qqqq"@en .\n'
+                         f'<{term}> <{SKOS}altLabel> "river"{tag} .\n')
+        out = tmp_path / "out"
+        assert main(_command_args("map", paths, out)
+                    + ["--vocab", str(vocab), "--alt-labels"]) == 0
+        rows = (out / "mapping.tsv").read_text().splitlines()[1:]
+        assert rows == ([f"{term}\tclose\triver-noun-1\t1.0000\tlabel\triver"]
+                        if mapped else [])
+
     def test_config_file_with_flag_override(self, paths, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("min-overlap = 5\nmin-freq = 1\n")
@@ -242,6 +257,23 @@ class TestCmdSweep:
                        paths["wordnet"], "--out", str(out)]) == 0
         assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                 for name in digests} == digests
+
+    def test_timings_change_only_the_wall_ms_column(self, paths, tmp_path):
+        tables = {}
+        for name, flags in (("plain", []), ("timed", ["--timings"])):
+            out = tmp_path / name
+            assert main(_command_args("sweep", paths, out) + flags) == 0
+            tables[name] = [line.split("\t") for line in
+                            (out / "sweep.tsv").read_text().splitlines()]
+        assert (tmp_path / "plain" / "summary.tsv").read_bytes() \
+            == (tmp_path / "timed" / "summary.tsv").read_bytes()
+        plain, timed = tables["plain"], tables["timed"]
+        assert plain[0] == timed[0] and plain[0][-1] == "wall_ms"
+        assert len(plain) == len(timed) == 1 + 396
+        assert [row[:-1] for row in plain] == [row[:-1] for row in timed]
+        assert all(row[-1] == "0" for row in plain[1:])
+        assert all(row[-1].isdigit() and str(int(row[-1])) == row[-1]
+                   for row in timed[1:])
 
     def test_summary_written(self, paths, tmp_path):
         out = tmp_path / "sum"
@@ -630,7 +662,8 @@ class TestFailurePaths:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("brk", ["\u2028", "\x85", "\u2029"])
-    @pytest.mark.parametrize("repro", ["gold-predicate", "literal-escape"])
+    @pytest.mark.parametrize("repro", ["gold-predicate", "gold-synset",
+                                       "literal-escape"])
     def test_line_break_in_quoted_input_stays_one_stderr_line(
             self, paths, tmp_path, capsys, repro, brk):
         # an IRI or an escape may hold a character at which str.splitlines
@@ -647,6 +680,16 @@ class TestFailurePaths:
             expected = (f"warning: {gold}, line {base.count(chr(10)) + 1}: "
                         f"predicate {shown}{SKOS}relatedMatch is not a "
                         "mapping property; triple ignored")
+        elif repro == "gold-synset":
+            gold = tmp_path / "gold.nt"
+            gold.write_text(Path(paths["gold"]).read_text()
+                            + f"<{BAY}> <{SKOS}relatedMatch> "
+                            f"<{WN20_SYNSET_NS}ba{brk}y-noun-1> .\n")
+            code = main(_command_args("sweep", paths, tmp_path / "o")
+                        + ["--gold", str(gold), "--taxonomy", "off",
+                           "--ol-min", "0", "--f-min", "0"])
+            expected = ("warning: 1 gold synset names are not in the store, "
+                        f"first ba{shown}y-noun-1")
         else:
             vocab = tmp_path / "esc.nt"
             vocab.write_text(f'<{BAY}> <{SKOS}prefLabel> "a\\{brk}b" .\n')
@@ -654,7 +697,7 @@ class TestFailurePaths:
                         + ["--vocab", str(vocab)])
             expected = (f"error: {vocab}, line 1: unknown escape sequence "
                         f"\\{shown}")
-        assert code == (0 if repro == "gold-predicate" else 1)
+        assert code == (1 if repro == "literal-escape" else 0)
         assert capsys.readouterr().err.splitlines() == [expected]
 
     @pytest.mark.parametrize("content, message", [

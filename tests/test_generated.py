@@ -14,11 +14,13 @@ import json
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from oracle import (mapping_set_tuples, oracle_map_vocabulary,
-                    oracle_random_baseline, oracle_trigram_baseline)
+from oracle import (mapping_set_tuples, oracle_extract_definition_terms,
+                    oracle_map_vocabulary, oracle_random_baseline,
+                    oracle_trigram_baseline)
 from vocmap.evaluation import (SweepGrid, evaluate, run_sweep,
                                trigram_baseline_mapping)
 from vocmap.mapper import MapperConfig, map_vocabulary, random_baseline_mapping
+from vocmap.text import default_stopwords, extract_definition_terms
 from vocmap.vocab import Term, Vocabulary
 from vocmap.wordnet import (HYPONYM_OF, PART_MERONYM_OF, load_fixture,
                             load_wndb)
@@ -38,20 +40,22 @@ def _text(min_size, max_size):
                     max_size=max_size).map(" ".join)
 
 
+# a store lemma: a word of the pool, or a collocation of two
+_lemmas = st.one_of(
+    st.sampled_from(WORDS),
+    st.tuples(st.sampled_from(WORDS), st.sampled_from(WORDS)).map("_".join))
+
+
 @st.composite
 def _documents(draw):
     """A fixture document of 3-20 synsets with an acyclic relation graph,
     their offsets in no particular order."""
-    lemmas = st.one_of(
-        st.sampled_from(WORDS),
-        st.tuples(st.sampled_from(WORDS), st.sampled_from(WORDS))
-        .map("_".join))
     senses_of: dict[str, int] = {}
     synsets = []
     offsets = draw(st.permutations(range(1, draw(st.integers(3, 20)) + 1)))
     for i, offset in enumerate(offsets):
         entry_lemmas = []
-        for lemma in draw(st.lists(lemmas, min_size=1, max_size=3,
+        for lemma in draw(st.lists(_lemmas, min_size=1, max_size=3,
                                    unique=True)):
             senses_of[lemma] = senses_of.get(lemma, 0) + 1
             entry_lemmas.append({
@@ -174,6 +178,27 @@ def test_trigram_baseline_equals_oracle_on_generated_stores(case, threshold,
     assert [(m.term, m.relation.value, m.synset, m.score, m.provenance.value,
              m.source_word) for m in got] == oracle_trigram_baseline(
         vocabulary, store, threshold, strategy)
+
+
+@st.composite
+def _definitions(draw):
+    """A store, and a definition whose words repeat its lemmas and
+    collocations among the pool's words and inflections."""
+    store = draw(_stores)
+    words = st.one_of(st.sampled_from(TEXT_WORDS), st.sampled_from(
+        sorted(store.lemma_index)).map(lambda lemma: lemma.replace("_", " ")))
+    return store, draw(st.one_of(
+        st.none(), st.lists(words, max_size=12).map(" ".join)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_definitions(), exclude=st.sets(_lemmas, max_size=4))
+def test_definition_terms_equal_oracle_on_generated_stores(case, exclude):
+    store, definition = case
+    stopwords = default_stopwords()
+    assert extract_definition_terms(definition, store, stopwords, exclude) \
+        == oracle_extract_definition_terms(definition, store, stopwords,
+                                           exclude)
 
 
 _POINTER_SYMBOLS = {HYPONYM_OF: "@", PART_MERONYM_OF: "#p"}

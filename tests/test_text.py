@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracle import lexical_overlap
+from oracle import lexical_overlap, oracle_tokenize
 from vocmap.text import (
     compound_candidates,
     default_stopwords,
@@ -44,6 +44,12 @@ class TestTokenize:
 
     def test_punctuation_discarded(self):
         assert tokenize("(bays); rivers!") == ["bays", "rivers"]
+
+    # hyphen runs inside, around and between words; U+0130 lowercases to
+    # 'i' and a combining dot, and 'ß' stays outside a-z
+    @given(st.one_of(st.text(), st.text(alphabet="ab9Z-- _.'\u0130\u00df")))
+    def test_equals_the_reference(self, text):
+        assert tokenize(text) == oracle_tokenize(text)
 
 
 class TestLemmatizeNoun:

@@ -131,6 +131,30 @@ class TestParseVocabulary:
             f"line 2: repeated prefLabel for <{BAY}> (language en); "
             "keeping the first"]
 
+    def test_english_and_untagged_alt_labels_kept_in_file_order(self):
+        # the store is English WordNet: an altLabel in another language is
+        # not a form, whatever the prefLabel's language
+        data = (
+            f'<{BAY}> <{SKOS}altLabel> "inlet"@EN .\n'
+            f'<{BAY}> <{SKOS}prefLabel> "baie"@fr .\n'
+            f'<{BAY}> <{SKOS}altLabel> "anse"@fr .\n'
+            f'<{BAY}> <{SKOS}altLabel> "cove" .\n'
+            f'<{BAY}> <{SKOS}altLabel> "bucht"@de .\n'
+            f'<{BAY}> <{SKOS}altLabel> "bight"@en-GB .\n'
+            f'<{BAY}> <{SKOS}altLabel> "baia"@eng .\n'
+            f'<{BAY}> <{SKOS}altLabel> "inlet"@en .\n'
+        )
+        vocabulary = parse_vocabulary_ntriples(data)
+        assert vocabulary.terms[BAY].alt_labels == ("inlet", "cove", "bight",
+                                                    "inlet")
+        assert vocabulary.warnings == []
+
+    def test_subject_with_only_foreign_alt_label_warns_no_pref_label(self):
+        vocabulary = parse_vocabulary_ntriples(
+            f'<{BAY}> <{SKOS}altLabel> "baie"@fr .\n')
+        assert len(vocabulary) == 0
+        assert vocabulary.warnings == [f"term <{BAY}> skipped: no prefLabel"]
+
     def test_link_predicates_are_ignored_silently(self):
         data = (
             f'<{BAY}> <{SKOS}prefLabel> "bay" .\n'
