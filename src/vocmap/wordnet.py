@@ -16,6 +16,7 @@ from __future__ import annotations
 import gc
 import json
 import re
+import sys
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -123,15 +124,16 @@ class WordNetStore:
                         f"but lives in {syn.id}", synset=syn.id)
                 lemma_index.setdefault(ws.lemma, []).append(ws)
         for lemma, senses in lemma_index.items():
-            if len(senses) < 2:
-                continue
-            senses.sort(key=lambda ws: ws.sense_number)
-            for prev, ws in zip(senses, senses[1:]):
-                if prev.sense_number == ws.sense_number:
-                    raise LoadError(
-                        f"duplicate sense number {ws.sense_number} for "
-                        f"lemma {lemma!r}", synset=ws.synset)
-        self.lemma_index = {k: tuple(v) for k, v in lemma_index.items()}
+            if len(senses) > 1:
+                senses.sort(key=lambda ws: ws.sense_number)
+                for prev, ws in zip(senses, senses[1:]):
+                    if prev.sense_number == ws.sense_number:
+                        raise LoadError(
+                            f"duplicate sense number {ws.sense_number} for "
+                            f"lemma {lemma!r}", synset=ws.synset)
+            # in place: replacing a key's value does not resize the dict
+            lemma_index[lemma] = tuple(senses)
+        self.lemma_index = lemma_index
 
         inverse: dict[SynsetId, list[SynsetId]] = {}
         for syn in by_id.values():
@@ -235,14 +237,16 @@ def _fixture_int(value, what: str, *args) -> int:
     return value
 
 
-def _fixture_synset(entry, where: str) -> Synset:
-    """The synset of one fixture entry; ``where`` names the entry."""
+def _fixture_synset(entry, where: str, ids: dict[int, SynsetId]) -> Synset:
+    """The synset of one fixture entry; ``where`` names the entry, and
+    ``ids`` holds the one id of each offset seen so far, which the entry
+    and every relation to that offset share."""
     if not isinstance(entry, dict):
         raise LoadError(f"{where} must be an object", source="fixture")
     offset = _fixture_int(entry.get("offset"), "%s.offset", where)
     if offset < 0:
         raise LoadError(f"{where}.offset must be >= 0", source="fixture")
-    sid = SynsetId("n", offset)
+    sid = ids.get(offset) or ids.setdefault(offset, SynsetId("n", offset))
     lemmas = entry.get("lemmas")
     if not isinstance(lemmas, list) or not lemmas:
         raise LoadError(f"{where}.lemmas must be a non-empty list",
@@ -276,8 +280,10 @@ def _fixture_synset(entry, where: str) -> Synset:
             raise LoadError(
                 f"{where}.relations[{j}] must be a [kind, offset] pair",
                 source="fixture")
-        pair = (rel[0], SynsetId("n", _fixture_int(
-            rel[1], "%s.relations[%d]", where, j)))
+        target = _fixture_int(rel[1], "%s.relations[%d]", where, j)
+        # one string per relation kind, as in load_wndb
+        pair = (sys.intern(rel[0]), ids.get(target)
+                or ids.setdefault(target, SynsetId("n", target)))
         # a repeated relation is kept once, as load_wndb keeps a pointer
         if pair not in relations:
             relations.append(pair)
@@ -299,22 +305,30 @@ def load_fixture(data: bytes | str) -> WordNetStore:
     if not isinstance(doc, dict) or not isinstance(doc.get("synsets"), list):
         raise LoadError("document must be an object with a 'synsets' list",
                         source="fixture")
+    entries = doc["synsets"]
     synsets: list[Synset] = []
+    ids: dict[int, SynsetId] = {}
     try:
-        for i, entry in enumerate(doc["synsets"]):
-            synsets.append(_fixture_synset(entry, f"synsets[{i}]"))
+        for i, entry in enumerate(entries):
+            # each entry is released once its synset is read
+            entries[i] = None
+            synsets.append(_fixture_synset(entry, f"synsets[{i}]", ids))
         exceptions = doc.get("exceptions", {})
         if not isinstance(exceptions, dict) or not all(
                 isinstance(k, str) and isinstance(v, str)
                 for k, v in exceptions.items()):
             raise LoadError("'exceptions' must map strings to strings",
                             source="fixture")
+        # what is left of the document goes before the store is built
+        del doc, entries, ids
         return WordNetStore(synsets, exceptions=exceptions)
     except LoadError as exc:
         if exc.synset is None:
             raise
-        # found only when a load fails: the last entry read with that offset
-        i = max(k for k, e in enumerate(doc["synsets"][:len(synsets) + 1])
+        # only a failing load needs the entry's index, so data is parsed
+        # again: the last entry read with that offset
+        read = json.loads(data)["synsets"][:len(synsets) + 1]
+        i = max(k for k, e in enumerate(read)
                 if e["offset"] == exc.synset.offset)
         raise LoadError(f"synsets[{i}]: {exc}", source="fixture") from None
 
@@ -353,6 +367,7 @@ def load_wndb(index_noun: bytes, data_noun: bytes,
     load error.  Every error names the file and line at fault.
     """
     # data.noun: offset lex_filenum ss_type w_cnt (word lex_id)+ p_cnt ptr* | gloss
+    # where each ptr is four fields: symbol offset pos source/target
     entries: dict[int, tuple] = {}  # offset: (id, words, gloss, relations)
     # one id per offset, shared by its data line and every pointer to it
     ids: dict[int, SynsetId] = {}
@@ -365,15 +380,27 @@ def load_wndb(index_noun: bytes, data_noun: bytes,
                 raise LoadError("not a noun synset line",
                                 source="data.noun", line_no=line_no)
             w_cnt = int(fields[3], 16)  # word count is hexadecimal
-            words = [fields[4 + 2 * k].lower() for k in range(w_cnt)]
             p_idx = 4 + 2 * w_cnt
+            p_cnt = int(fields[p_idx])
+            if w_cnt < 0 or p_cnt < 0:
+                raise LoadError("negative w_cnt or p_cnt",
+                                source="data.noun", line_no=line_no)
+            # a noun line carries no verb frames after its pointers
+            if len(fields) != p_idx + 1 + 4 * p_cnt:
+                raise LoadError(
+                    f"{len(fields)} fields before the gloss, but w_cnt "
+                    f"{w_cnt} and p_cnt {p_cnt} make {p_idx + 1 + 4 * p_cnt}",
+                    source="data.noun", line_no=line_no)
+            words = [fields[4 + 2 * k].lower() for k in range(w_cnt)]
             rels: list[tuple[str, SynsetId]] = []
-            for k in range(p_idx + 1, p_idx + 1 + 4 * int(fields[p_idx]), 4):
+            for k in range(p_idx + 1, len(fields), 4):
                 target = int(fields[k + 1])
                 if fields[k + 2] == "n":
                     sid = ids.get(target) or ids.setdefault(
                         target, SynsetId("n", target))
-                    pair = (_POINTER_KINDS.get(fields[k], fields[k]), sid)
+                    # one string per relation kind, as in load_fixture
+                    pair = (_POINTER_KINDS.get(fields[k])
+                            or sys.intern(fields[k]), sid)
                     if pair not in rels:
                         rels.append(pair)
         except LoadError:
@@ -399,11 +426,15 @@ def load_wndb(index_noun: bytes, data_noun: bytes,
                                 source="index.noun", line_no=line_no)
             synset_cnt = int(fields[2])
             p_cnt = int(fields[3])
-            rest = fields[4 + p_cnt:]
-            offsets = [int(x) for x in rest[2:2 + synset_cnt]]
-            if len(offsets) != synset_cnt:
-                raise LoadError("synset count does not match offsets",
+            if synset_cnt < 0 or p_cnt < 0:
+                raise LoadError("negative synset_cnt or p_cnt",
                                 source="index.noun", line_no=line_no)
+            if len(fields) != 6 + p_cnt + synset_cnt:
+                raise LoadError(
+                    f"{len(fields)} fields, but synset_cnt {synset_cnt} and "
+                    f"p_cnt {p_cnt} make {6 + p_cnt + synset_cnt}",
+                    source="index.noun", line_no=line_no)
+            offsets = [int(x) for x in fields[6 + p_cnt:]]
         except LoadError:
             raise
         except (IndexError, ValueError) as exc:
@@ -446,7 +477,9 @@ def load_wndb(index_noun: bytes, data_noun: bytes,
 
     synsets: list[Synset] = []
     try:
-        for offset, (sid, words, gloss, rels) in entries.items():
+        # each entry is released once its synset is built
+        for offset in list(entries):
+            sid, words, gloss, rels = entries.pop(offset)
             senses = []
             for word in words:
                 offs = offsets_for.get(word, ())
@@ -462,6 +495,8 @@ def load_wndb(index_noun: bytes, data_noun: bytes,
                 senses.append(WordSense(word, sid, sense_number,
                                         tag_frequency))
             synsets.append(Synset(sid, tuple(senses), gloss, rels))
+        # the loader's tables are freed before the store is built
+        del entries, offsets_for, counts, negative_at
         return WordNetStore(synsets, exceptions=exceptions)
     except LoadError as exc:
         if exc.synset is None:

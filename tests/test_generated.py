@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from oracle import (mapping_set_tuples, oracle_extract_definition_terms,
                     oracle_map_vocabulary, oracle_random_baseline,
                     oracle_trigram_baseline)
+from wndb_text import wndb_files as _wndb_files
 from vocmap.evaluation import (SweepGrid, evaluate, run_sweep,
                                trigram_baseline_mapping)
 from vocmap.mapper import MapperConfig, map_vocabulary, random_baseline_mapping
@@ -199,35 +200,6 @@ def test_definition_terms_equal_oracle_on_generated_stores(case, exclude):
     assert extract_definition_terms(definition, store, stopwords, exclude) \
         == oracle_extract_definition_terms(definition, store, stopwords,
                                            exclude)
-
-
-_POINTER_SYMBOLS = {HYPONYM_OF: "@", PART_MERONYM_OF: "#p"}
-
-
-def _wndb_files(doc):
-    """The fixture document rendered as WNDB index.noun, data.noun,
-    cntlist.rev and noun.exc, each data and index file under a license
-    block."""
-    data, offsets_of, counts = ["  1 license"], {}, []
-    for entry in doc["synsets"]:
-        words = " ".join(f"{item['lemma']} 0" for item in entry["lemmas"])
-        pointers = "".join(f" {_POINTER_SYMBOLS[kind]} {target:08d} n 0000"
-                           for kind, target in entry["relations"])
-        data.append(f"{entry['offset']:08d} 03 n {len(entry['lemmas']):02x} "
-                    f"{words} {len(entry['relations']):03d}{pointers} | "
-                    f"{entry['gloss']}")
-        for item in entry["lemmas"]:
-            offsets_of.setdefault(item["lemma"], []).append(entry["offset"])
-            if item["frequency"]:
-                counts.append(f"{item['lemma']}%1:03:00:: "
-                              f"{item['sense_number']} {item['frequency']}")
-    index = ["  1 license"] + [
-        f"{lemma} n {len(offs)} 0 {len(offs)} 0 "
-        + " ".join(f"{off:08d}" for off in offs)
-        for lemma, offs in sorted(offsets_of.items())]
-    exc = [f"{k} {v}" for k, v in doc["exceptions"].items()]
-    return ["\n".join(lines + [""]).encode()
-            for lines in (index, data, counts, exc)]
 
 
 @settings(max_examples=40, deadline=None)

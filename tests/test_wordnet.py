@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import json
 import random
+import tracemalloc
 from collections import deque
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from vocmap.wordnet import (
     load_wndb,
     load_wndb_dir,
 )
+from wndb_text import wndb_files
 
 
 def _sid(offset):
@@ -138,6 +140,29 @@ class TestFixtureLoader:
         with pytest.raises(LoadError) as err:
             load_fixture(_fixture_bytes(synsets))
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("synsets, message", [
+        ([_simple_synset(1, "sea"), ["bay"]],
+         "fixture: synsets[1] must be an object"),
+        ([_simple_synset(-1, "bay")], "fixture: synsets[0].offset must be >= 0"),
+        # WordSense rejects the number, and the entry is found by parsing
+        # the document again
+        ([_simple_synset(1, "sea"), _simple_synset(2, "bay", sense_number=0)],
+         "fixture: synsets[1]: sense number must be >= 1: bay"),
+    ], ids=["entry-not-an-object", "negative-offset", "sense-number-0"])
+    def test_entry_errors_name_the_entry(self, synsets, message):
+        with pytest.raises(LoadError) as err:
+            load_fixture(_fixture_bytes(synsets))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("exceptions", [["mice", "mouse"], {"mice": 1}])
+    def test_exceptions_must_map_strings_to_strings(self, exceptions):
+        data = json.dumps({"synsets": [_simple_synset(1, "mouse")],
+                           "exceptions": exceptions})
+        with pytest.raises(LoadError) as err:
+            load_fixture(data)
+        assert str(err.value) == \
+            "fixture: 'exceptions' must map strings to strings"
 
     def test_repeated_relation_is_kept_once_as_by_wndb(self):
         data = _fixture_bytes([
@@ -287,6 +312,37 @@ class TestWndbLoader:
         with pytest.raises(LoadError) as err:
             load_wndb(index, data)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("data, index, message", [
+        (b"00000001 17 n 01 bay 0 -01 @ 00000002 n 0000 | a bay\n",
+         b"bay n 1 0 1 0 00000001\n",
+         "data.noun, line 1: negative w_cnt or p_cnt"),
+        (b"00000001 17 n 01 bay 0 000 @ 00000002 n 0000 | a bay\n",
+         b"bay n 1 0 1 0 00000001\n",
+         "data.noun, line 1: 11 fields before the gloss, but w_cnt 1 and "
+         "p_cnt 0 make 7"),
+        (b"00000001 17 n 01 bay 0 000 | a bay\n",
+         b"bay n 1 0 1 0 00000001 00000002\n",
+         "index.noun, line 1: 8 fields, but synset_cnt 1 and p_cnt 0 make 7"),
+        (b"00000001 17 n 01 bay 0 000 | a bay\n",
+         b"bay n 1 0 1 0 00000001 zzz\n",
+         "index.noun, line 1: 8 fields, but synset_cnt 1 and p_cnt 0 make 7"),
+        (b"00000001 17 n 01 bay 0 000 | a bay\n",
+         b"bay n 1 -2 1 0 00000001\n",
+         "index.noun, line 1: negative synset_cnt or p_cnt"),
+    ], ids=["negative-pointer-count", "pointer-past-the-count",
+            "offset-past-the-count", "field-past-the-count",
+            "negative-index-pointer-count"])
+    def test_counts_must_match_the_fields(self, data, index, message):
+        with pytest.raises(LoadError) as err:
+            load_wndb(index, data)
+        assert str(err.value) == message
+
+    def test_data_line_must_be_a_noun(self):
+        with pytest.raises(LoadError) as err:
+            load_wndb(b"bay n 1 0 1 0 00000001\n",
+                      b"00000001 29 v 01 bay 0 000 | to howl\n")
+        assert str(err.value) == "data.noun, line 1: not a noun synset line"
 
     def test_dir_loader_needs_a_directory(self, tmp_path):
         (tmp_path / "data.noun").write_bytes(b"")
@@ -576,6 +632,112 @@ class TestStoreValidation:
                           tag_frequency=0)
         with pytest.raises(LoadError, match="noun"):
             WordNetStore([Synset(id=sid, senses=(sense,), gloss="")])
+
+    def test_sense_of_another_synset_rejected(self):
+        sense = WordSense(lemma="bay", synset=_sid(2), sense_number=1,
+                          tag_frequency=0)
+        with pytest.raises(LoadError) as err:
+            WordNetStore([Synset(id=_sid(1), senses=(sense,), gloss="")])
+        assert str(err.value) == (
+            "sense bay carries synset id SynsetId(pos='n', offset=2) but "
+            "lives in SynsetId(pos='n', offset=1)")
+        assert err.value.synset == _sid(1)
+
+
+def _large_document(n_synsets=3000):
+    """A fixture document in the proportions of WordNet nouns: 1.8 senses
+    and 1.1 lemmas per synset, frequent lemmas polysemous, 40%
+    collocations, a hypernym and a ``~`` pointer to it in each synset but
+    the first, and glosses of about 100 characters.  Three senses in four
+    are tagged, as in the benchmark's ``mini`` preset."""
+    rng = random.Random(n_synsets)
+    syllables = ("ba", "ri", "sol", "ten", "mar", "ko", "vel", "dun", "ast",
+                 "pe", "lo", "chi")
+    pool = ["".join(rng.choices(syllables, k=rng.randint(2, 4)))
+            for _ in range(n_synsets)]
+    function_words = ("a", "the", "of", "or", "in", "that", "for", "is")
+    offsets = [1000 + 190 * i for i in range(n_synsets)]
+    senses_of, synsets = {}, []
+    for i, offset in enumerate(offsets):
+        lemmas = {}
+        for _ in range(rng.choices(range(1, 7), (55, 25, 12, 5, 2, 1))[0]):
+            word = pool[rng.randrange(n_synsets // 10 if rng.random() < 0.4
+                                      else n_synsets)]
+            lemmas[word if rng.random() < 0.6
+                   else f"{word}_{rng.choice(pool)}"] = None
+        items = []
+        for lemma in lemmas:
+            senses_of[lemma] = senses_of.get(lemma, 0) + 1
+            items.append({"lemma": lemma, "sense_number": senses_of[lemma],
+                          "frequency": rng.randint(1, 50)
+                          if rng.random() < 0.75 else 0})
+        relations = []
+        if i:
+            parent = offsets[rng.randrange(i)]
+            relations = [[HYPONYM_OF, parent], ["~", parent]]
+            if rng.random() < 0.04:
+                relations += [[PART_MERONYM_OF, parent], ["%p", parent]]
+        gloss = " ".join(rng.choice(pool) if rng.random() < 0.7
+                         else rng.choice(function_words)
+                         for _ in range(rng.randint(6, 22)))
+        synsets.append({"offset": offset, "lemmas": items, "gloss": gloss,
+                        "relations": relations})
+    return {"synsets": synsets, "exceptions": {"mice": "mouse"}}
+
+
+def _traced(call):
+    """``call()``, the memory it leaves allocated and the peak it reached,
+    as tracemalloc traces them."""
+    # a full collection empties the interpreter's free lists, whose blocks
+    # were allocated before tracing and so would be reused unseen
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = call()
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, size, peak
+
+
+class TestLoadMemory:
+    """A load frees its scratch before the store is built."""
+
+    @pytest.fixture(scope="class")
+    def document(self):
+        return _large_document()
+
+    def test_wndb_peak_is_near_the_store_size(self, document):
+        # the loader's tables are gone while WordNetStore indexes the synsets
+        files = wndb_files(document)
+        store, size, peak = _traced(lambda: load_wndb(*files))
+        assert len(store) == 3000
+        assert peak <= 1.5 * size, (peak, size)
+
+    def test_fixture_peak_is_the_document_peak(self, document):
+        # each entry is released once read, so the store is built within
+        # the footprint that parsing the document takes
+        data = json.dumps(document).encode()
+        _, _, parse_peak = _traced(lambda: json.loads(data))
+        store, _, peak = _traced(lambda: load_fixture(data))
+        assert len(store) == 3000
+        assert peak <= 1.1 * parse_peak, (peak, parse_peak)
+
+    @pytest.mark.parametrize("load", [
+        lambda doc: load_wndb(*wndb_files(doc)),
+        lambda doc: load_fixture(json.dumps(doc))], ids=["wndb", "fixture"])
+    def test_relations_share_ids_and_kinds(self, document, load):
+        # one id per offset, shared by the synset and every relation to it,
+        # and one string per relation kind
+        store = load(document)
+        kinds = {}
+        for synset in store.synsets.values():
+            for kind, target in synset.relations:
+                assert target is store.synsets[target].id
+                assert kinds.setdefault(kind, kind) is kind
+        assert sorted(kinds) == sorted(
+            ["%p", "~", HYPONYM_OF, PART_MERONYM_OF])
+        assert kinds[HYPONYM_OF] is HYPONYM_OF
 
 
 def _spliced(original: bytes):
