@@ -70,6 +70,21 @@ def _base_form(token: str, store) -> str:
     return token
 
 
+def _content_lemmas(tokens: Iterable[str], store,
+                    stopwords: frozenset[str]) -> set[str]:
+    """The distinct lemmas of tokens that are not stopwords, before or
+    after lemmatization."""
+    bag: set[str] = set()
+    for token in tokens:
+        if token in stopwords:
+            continue
+        lemma = lemmatize_noun(token, store)
+        if lemma in stopwords:
+            continue
+        bag.add(lemma)
+    return bag
+
+
 def normalize_definition(text: str, exclude: Iterable[str], store,
                          stopwords: frozenset[str]) -> frozenset[str]:
     """Reduce free text to its bag of distinct content lemmas.
@@ -78,15 +93,8 @@ def normalize_definition(text: str, exclude: Iterable[str], store,
     appear in the result.  Stopwords are filtered both before and after
     lemmatization so none can enter a bag.
     """
-    bag: set[str] = set()
-    for token in tokenize(text):
-        if token in stopwords:
-            continue
-        lemma = lemmatize_noun(token, store)
-        if lemma in stopwords:
-            continue
-        bag.add(lemma)
-    return frozenset(bag - set(exclude))
+    return frozenset(_content_lemmas(tokenize(text), store, stopwords)
+                     - set(exclude))
 
 
 def compound_candidates(label: str) -> list[str]:
@@ -96,6 +104,47 @@ def compound_candidates(label: str) -> list[str]:
     if len(tokens) <= 1:
         return tokens
     return ["_".join(tokens)] + tokens
+
+
+def _collocation_heads(store) -> frozenset[str]:
+    """The part before the first '_' of every store lemma and every
+    ``noun.exc`` key that holds a '_': each token that can start a
+    collocation.  The store never changes, so the set is built once, on
+    first use."""
+    heads = store._collocation_heads
+    if heads is None:
+        heads = store._collocation_heads = frozenset(
+            word.partition("_")[0]
+            for words in (store.lemma_index, store.exceptions)
+            for word in words if "_" in word)
+    return heads
+
+
+def _definition_terms(tokens: list[str], store,
+                      stopwords: frozenset[str]) -> list[str]:
+    """The distinct terms of a definition's tokens, in first-occurrence
+    order: a token pair that lemmatizes to a store collocation is taken
+    whole, else a non-stopword token whose lemma the store holds.  A pair
+    is tried only when its first token heads a collocation, which skips no
+    pair that could match (see ``extract_definition_terms``).
+    """
+    heads = _collocation_heads(store)
+    found: list[str] = []
+    i, n = 0, len(tokens)
+    while i < n:
+        token = tokens[i]
+        if token in heads and i + 1 < n:
+            bigram = lemmatize_noun(token + "_" + tokens[i + 1], store)
+            if store.has_lemma(bigram):
+                found.append(bigram)
+                i += 2
+                continue
+        if token not in stopwords:
+            lemma = lemmatize_noun(token, store)
+            if store.has_lemma(lemma):
+                found.append(lemma)
+        i += 1
+    return list(dict.fromkeys(found))
 
 
 def extract_definition_terms(definition: str | None, store,
@@ -108,22 +157,15 @@ def extract_definition_terms(definition: str | None, store,
     whole and their parts dropped; remaining tokens survive if they are
     non-stopword lemmas with at least one noun sense.  ``exclude`` removes
     the defined term's own label forms.
+
+    A pair is looked up only where its first token is the head (the part
+    before the first '_') of a store lemma or of a ``noun.exc`` key holding
+    a '_'.  That is exact: ``noun.exc`` maps a pair only when the pair is a
+    key, and suffix detachment rewrites only the end of the second token,
+    so any other lemma a pair reduces to starts with its first token and a
+    '_'.  The definition is tokenized once, here; ``CandidateTable`` takes
+    a definition's bag and its terms from the same tokens.
     """
     excluded = frozenset(exclude)
-    tokens = tokenize(definition or "")
-    found: list[str] = []
-    i = 0
-    while i < len(tokens):
-        if i + 1 < len(tokens):
-            bigram = lemmatize_noun(tokens[i] + "_" + tokens[i + 1], store)
-            if store.has_lemma(bigram):
-                found.append(bigram)
-                i += 2
-                continue
-        token = tokens[i]
-        if token not in stopwords:
-            lemma = lemmatize_noun(token, store)
-            if store.has_lemma(lemma):
-                found.append(lemma)
-        i += 1
-    return [t for t in dict.fromkeys(found) if t not in excluded]
+    return [t for t in _definition_terms(tokenize(definition or ""), store,
+                                         stopwords) if t not in excluded]

@@ -94,9 +94,10 @@ class WordNetStore:
 
     The lemma index is exactly the inverse of the synsets' sense lists:
     every sense is reachable from its lemma and the index holds nothing
-    else.  All queries are read-only; the store's one cache, the base
-    form of each token that ``text.lemmatize_noun`` has reduced, lives as
-    long as the store.
+    else.  All queries are read-only; the store's two caches live as long
+    as the store: the base form of each token that ``text.lemmatize_noun``
+    has reduced, and the tokens that can start a collocation, which
+    ``text._collocation_heads`` finds on first use.
     """
 
     def __init__(self, synsets: Iterable[Synset],
@@ -112,8 +113,10 @@ class WordNetStore:
             by_id[syn.id] = syn
         self.synsets = by_id
         self.exceptions = dict(exceptions or {})
-        # text.lemmatize_noun's base form of each token, filled lazily
+        # text.lemmatize_noun's base form of each token, filled lazily, and
+        # text._collocation_heads, built on first use
         self._base_forms: dict[str, str] = {}
+        self._collocation_heads: frozenset[str] | None = None
 
         lemma_index: dict[str, list[WordSense]] = {}
         for syn in by_id.values():

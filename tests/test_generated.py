@@ -28,7 +28,8 @@ from vocmap.wordnet import (HYPONYM_OF, PART_MERONYM_OF, load_fixture,
 
 WORDS = ("bay", "sea", "pool", "salt", "water", "power", "station", "mouse")
 # inflected forms the lemmatizer reduces, and stopwords it drops
-TEXT_WORDS = WORDS + ("pools", "seas", "stations", "mice", "the", "of", "a")
+INFLECTED = ("pools", "seas", "stations", "mice")
+TEXT_WORDS = WORDS + INFLECTED + ("the", "of", "a")
 # the grid's f_min values that tag counts can straddle
 F_MIN_VALUES = (0, 1, 2, 5, 10, 40)
 # an oracle property does not shrink a failing example: each shrink step
@@ -69,6 +70,13 @@ def _documents(draw):
         synsets.append({"offset": offset, "lemmas": entry_lemmas,
                         "gloss": draw(_text(0, 8)), "relations": relations})
     exceptions = draw(st.sampled_from(({}, {"mice": "mouse"})))
+    collocations = sorted(lemma for lemma in senses_of if "_" in lemma)
+    if collocations and draw(st.booleans()):
+        # a '_'-joined key that only noun.exc maps onto a collocation: no
+        # store lemma starts with an inflected word
+        key = draw(st.tuples(st.sampled_from(INFLECTED),
+                             st.sampled_from(TEXT_WORDS)).map("_".join))
+        exceptions = {**exceptions, key: draw(st.sampled_from(collocations))}
     return {"synsets": synsets, "exceptions": exceptions}
 
 
@@ -183,11 +191,13 @@ def test_trigram_baseline_equals_oracle_on_generated_stores(case, threshold,
 
 @st.composite
 def _definitions(draw):
-    """A store, and a definition whose words repeat its lemmas and
-    collocations among the pool's words and inflections."""
+    """A store, and a definition whose words repeat its lemmas, its
+    collocations and its exception keys among the pool's words and
+    inflections."""
     store = draw(_stores)
     words = st.one_of(st.sampled_from(TEXT_WORDS), st.sampled_from(
-        sorted(store.lemma_index)).map(lambda lemma: lemma.replace("_", " ")))
+        sorted({*store.lemma_index, *store.exceptions})).map(
+        lambda lemma: lemma.replace("_", " ")))
     return store, draw(st.one_of(
         st.none(), st.lists(words, max_size=12).map(" ".join)))
 

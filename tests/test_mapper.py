@@ -433,6 +433,43 @@ class TestCandidateTable:
         with pytest.raises(ValueError, match="floor"):
             table.select(MapperConfig(use_alt_labels=True))
 
+    def test_definition_term_without_a_floor_sense_has_no_pass(self):
+        # 'sea' has no tagged sense and 'water' none in the taxonomy, so
+        # no config at or above the floor maps either; 'land' can map
+        store = load_fixture(json.dumps({"synsets": [
+            {"offset": 1, "lemmas": [{"lemma": "bay", "frequency": 5}],
+             "gloss": "an inlet of the sea where the land curves"},
+            {"offset": 2, "lemmas": [{"lemma": "sea"}],
+             "gloss": "a large body of salt water"},
+            {"offset": 3, "lemmas": [{"lemma": "water", "frequency": 9}],
+             "gloss": "the liquid of the sea"},
+            {"offset": 4, "lemmas": [{"lemma": "land", "frequency": 2}],
+             "gloss": "the solid ground where the sea ends"}]}))
+        taxonomy = frozenset({SynsetId("n", 1), SynsetId("n", 4)})
+        vocabulary = Vocabulary([
+            Term(uri="http://example.org/t1", pref_label="bay",
+                 definition="an inlet of sea water where the land curves"),
+            Term(uri="http://example.org/t2", pref_label="coast",
+                 definition="land where the sea ends")])
+        floor = MapperConfig(ol_min=1, f_min=1, taxonomy=taxonomy)
+        floored = CandidateTable(vocabulary, store, floor)
+        unfloored = CandidateTable(vocabulary, store, MapperConfig())
+
+        def _terms(table):
+            return [[d for d, _ in passes] for _, passes in table.terms]
+
+        assert _terms(unfloored) == [[None, "sea", "water", "land"],
+                                     [None, "land", "sea"]]
+        assert _terms(floored) == [[None, "land"], [None, "land"]]
+        for f_min in (1, 2, 5, 9):
+            for ol_min in (1, 2, 3):
+                config = MapperConfig(ol_min=ol_min, f_min=f_min,
+                                      taxonomy=taxonomy)
+                got, expected = floored.select(config), \
+                    unfloored.select(config)
+                assert list(got) == list(expected)
+                assert got.warnings == expected.warnings
+
     def test_passes_sharing_a_lemma_keep_their_own_overlap(self):
         # 'bay' is every term's label, and 'sea' both a label and a term
         # found in a definition; the senses of each are found once per

@@ -207,6 +207,15 @@ class TestExtractDefinitionTerms:
             exclude={"river"})
         assert terms == ["sea"]
 
+    def test_pair_that_only_noun_exc_makes_a_collocation(self):
+        # no store lemma starts with 'attorneys_', and no suffix rule
+        # reduces 'attorneys_general'; noun.exc maps the pair as a key
+        store = _store("attorney_general", "attorney", "general",
+                       exceptions={"attorneys_general": "attorney_general"})
+        assert extract_definition_terms(
+            "one of the attorneys general", store,
+            default_stopwords()) == ["attorney_general"]
+
     def test_order_of_first_occurrence(self, mini_store):
         terms = extract_definition_terms(
             "water from the land reaches the sea as water", mini_store,
