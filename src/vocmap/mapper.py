@@ -85,16 +85,8 @@ def _matching_lemmas(tokens: Sequence[str]) -> list[tuple[str, MatchKind]]:
     return list(runs.items())
 
 
-def _definition_entry(d: str, store: WordNetStore
-                      ) -> tuple[tuple[str, ...], set[str]]:
-    """The form of a term extracted from a definition, and the lemmas of
-    its tokens."""
-    form = tuple(tokenize(d))
-    return form, {lemmatize_noun(t, store) for t in form}
-
-
 def _passes(term: Term, store: WordNetStore, use_alt_labels: bool,
-            definition_tokens: list[str] | None = None, entry_of=None):
+            definition_tokens: list[str] | None = None):
     """The passes of a term as (definition term or None, lemmas of the
     label it maps, forms); each label is tokenized once.
 
@@ -107,9 +99,7 @@ def _passes(term: Term, store: WordNetStore, use_alt_labels: bool,
     ``definition_tokens``: never the preferred label's joined form, one of
     its tokens or their lemmas.  A caller that holds the definition's tokens
     passes them, so the definition is tokenized once; by default it is
-    tokenized here.  ``entry_of`` gives each such term's form and lemmas,
-    or None for a term that yields no pass; by default,
-    ``_definition_entry``, which yields a pass for every term.
+    tokenized here.
     """
     pref = tuple(tokenize(term.pref_label))
     lemmas = {lemmatize_noun(t, store) for t in pref}
@@ -120,35 +110,29 @@ def _passes(term: Term, store: WordNetStore, use_alt_labels: bool,
         definition_tokens = tokenize(term.definition or "")
     exclude = {"_".join(pref), *pref, *lemmas}
     for d in _definition_terms(definition_tokens, store, default_stopwords()):
-        if d in exclude:
-            continue
-        entry = (_definition_entry(d, store) if entry_of is None
-                 else entry_of(d))
-        if entry is not None:
-            form, d_lemmas = entry
-            yield d, d_lemmas, [form]
+        if d not in exclude:
+            form = tokenize(d)
+            yield d, {lemmatize_noun(t, store) for t in form}, [form]
 
 
 class CandidateTable:
     """The threshold-independent candidates of a vocabulary.
 
     Built once per (vocabulary, store, floor config).  Each term has a label
-    pass and one pass per term extracted from its definition that some
-    floor sense can serve; a pass lists its forms in order, each with the
+    pass and one pass per term extracted from its definition that has a
+    row at the floor; a pass lists its forms in order, each with the
     lexically matched senses that pass the floor's three filters.
     ``select`` maps the vocabulary under any config at or above the floor
-    by only filtering, picking and ranking those rows.
+    by only filtering, picking and ranking those rows.  A definition pass
+    without a row is not kept: under any such config it maps nothing, and
+    a definition pass that maps nothing gives no warning.
 
     What does not depend on the term is found once per distinct string and
     kept for the table's life: each lemma's senses that pass the floor's
-    taxonomy and frequency filters, with their gloss bags; and each
-    distinct definition term's form, the lemmas of its tokens, and whether
-    any run of the form has such a sense.  A definition term without one
-    yields no pass: under any config at or above the floor that pass maps
-    nothing, and a definition pass that maps nothing gives no warning.
-    Each definition is tokenized once; its bag and its terms come from the
-    same tokens.  Each label is tokenized once per pass, and a pass
-    computes only its rows' overlaps.
+    taxonomy and frequency filters, with their gloss bags.  Each definition
+    is tokenized once, and its bag and its terms come from those tokens.
+    Each label is tokenized once per pass, and a pass computes only its
+    rows' overlaps.
     """
 
     def __init__(self, vocabulary, store: WordNetStore, floor: MapperConfig):
@@ -157,26 +141,9 @@ class CandidateTable:
         self._gloss_bags: dict[SynsetId, frozenset[str]] = {}
         self._floor_senses: dict[
             str, tuple[tuple[WordSense, frozenset[str]], ...]] = {}
-        self._definition_entries: dict[
-            str, tuple[tuple[str, ...], set[str]] | None] = {}
         self.terms: list[tuple[str, tuple]] = [
             (uri, tuple(self.passes(vocabulary.terms[uri])))
             for uri in sorted(vocabulary.terms)]
-
-    def _definition_entry(self, d: str
-                          ) -> tuple[tuple[str, ...], set[str]] | None:
-        """``_definition_entry(d)``, found once per table, or None when no
-        run of its form has a sense that passes the floor's taxonomy and
-        frequency filters."""
-        entries = self._definition_entries
-        if d in entries:
-            return entries[d]
-        form, _ = entry = _definition_entry(d, self.store)
-        if not any(self._senses_of(lemma)
-                   for lemma, _ in _matching_lemmas(form)):
-            entry = None
-        entries[d] = entry
-        return entry
 
     def _senses_of(self, lemma: str
                    ) -> tuple[tuple[WordSense, frozenset[str]], ...]:
@@ -219,7 +186,8 @@ class CandidateTable:
         """Yield (definition term or None, forms) for each pass of a term,
         the label pass first; ``forms`` holds (form joined by '_', rows,
         highest f, highest ol) for each label form that has any row, in
-        order: one form per label, so a definition pass holds at most one.
+        order: one form per label, so a definition pass holds at most one,
+        and a definition pass without one is not yielded.
 
         ``normalize_definition(text, exclude)`` equals the unexcluded bag
         minus ``exclude``, so the passes of a term share its definition bag
@@ -229,13 +197,14 @@ class CandidateTable:
         tokens = tokenize(term.definition or "")
         definition_bag = _content_lemmas(tokens, store, default_stopwords())
         for d, lemmas, forms in _passes(term, store,
-                                        self.floor.use_alt_labels, tokens,
-                                        self._definition_entry):
+                                        self.floor.use_alt_labels, tokens):
             term_bag = definition_bag - lemmas
-            yield d, tuple(
+            forms = tuple(
                 ("_".join(form), rows, max(c.f for c in rows),
                  max(c.ol for c in rows))
                 for form in forms if (rows := self._rows(form, term_bag)))
+            if d is None or forms:
+                yield d, forms
 
     def select(self, config: MapperConfig) -> MappingSet:
         """The vocabulary's mapping under ``config``: a label-derived
@@ -249,10 +218,9 @@ class CandidateTable:
             raise ValueError("config is looser than the table's floor")
         mappings: list[Mapping] = []
         warnings: list[str] = []
-        at_floor = config == floor
         for uri, passes in self.terms:
             for d, forms in passes:
-                mapping = _pick(uri, forms, config, self.store, d, at_floor)
+                mapping = _pick(uri, forms, config, self.store, d)
                 if mapping is not None:
                     mappings.append(mapping)
                 elif d is None:
@@ -303,14 +271,10 @@ def select_best(candidates: Sequence[Candidate]) -> tuple[Candidate, float]:
 
     Salience falls strictly as rank(f) + rank(ol) grows, so the winner has
     the least rank sum.  Ties break deterministically: higher frequency,
-    then lower synset offset, then lemma and sense number.  A lone
-    candidate wins unranked.
+    then lower synset offset, then lemma and sense number.
     """
     if not candidates:
         raise ValueError("cannot select from an empty candidate set")
-    if len(candidates) == 1:
-        # both ranks are 1: salience (2 - 1 - 1 + 1) / (2 - 1)
-        return candidates[0], 1.0
     ranked = zip(candidates, _desc_ranks([c.f for c in candidates]),
                  _desc_ranks([c.ol for c in candidates]))
     best, rank_f, rank_ol = min(ranked, key=lambda r: (
@@ -320,11 +284,9 @@ def select_best(candidates: Sequence[Candidate]) -> tuple[Candidate, float]:
 
 
 def _pick(uri: str, forms: tuple, config: MapperConfig, store: WordNetStore,
-          definition_term: str | None = None,
-          at_floor: bool = False) -> Mapping | None:
+          definition_term: str | None = None) -> Mapping | None:
     """The mapping of one pass: the best of the first form with any row
-    left after the filters, or None.  At the table's floor (``at_floor``)
-    every row already passes them, so none is filtered again.
+    left after the filters, or None.
 
     A label pass maps close only when its winner is a complete match with
     salience 1, that is, with the top f and the top ol among the kept rows;
@@ -337,10 +299,10 @@ def _pick(uri: str, forms: tuple, config: MapperConfig, store: WordNetStore,
     for form, rows, max_f, max_ol in forms:
         if max_f < config.f_min or max_ol < config.ol_min:
             continue  # no row of this form passes
-        kept = rows if at_floor else [
-            c for c in rows if c.f >= config.f_min
-            and c.ol >= config.ol_min
-            and (config.taxonomy is None or c.synset in config.taxonomy)]
+        kept = [c for c in rows if c.f >= config.f_min
+                and c.ol >= config.ol_min
+                and (config.taxonomy is None
+                     or c.synset in config.taxonomy)]
         if not kept:
             continue
         best, score = select_best(kept)

@@ -434,8 +434,9 @@ class TestCandidateTable:
             table.select(MapperConfig(use_alt_labels=True))
 
     def test_definition_term_without_a_floor_sense_has_no_pass(self):
-        # 'sea' has no tagged sense and 'water' none in the taxonomy, so
-        # no config at or above the floor maps either; 'land' can map
+        # 'sea' has no tagged sense and 'water' none in the taxonomy, and
+        # the gloss of 'inlet' shares no word with the definition, so no
+        # config at or above the floor maps any of them; 'land' can map
         store = load_fixture(json.dumps({"synsets": [
             {"offset": 1, "lemmas": [{"lemma": "bay", "frequency": 5}],
              "gloss": "an inlet of the sea where the land curves"},
@@ -444,8 +445,11 @@ class TestCandidateTable:
             {"offset": 3, "lemmas": [{"lemma": "water", "frequency": 9}],
              "gloss": "the liquid of the sea"},
             {"offset": 4, "lemmas": [{"lemma": "land", "frequency": 2}],
-             "gloss": "the solid ground where the sea ends"}]}))
-        taxonomy = frozenset({SynsetId("n", 1), SynsetId("n", 4)})
+             "gloss": "the solid ground where the sea ends"},
+            {"offset": 5, "lemmas": [{"lemma": "inlet", "frequency": 3}],
+             "gloss": "a narrow opening"}]}))
+        taxonomy = frozenset({SynsetId("n", 1), SynsetId("n", 4),
+                              SynsetId("n", 5)})
         vocabulary = Vocabulary([
             Term(uri="http://example.org/t1", pref_label="bay",
                  definition="an inlet of sea water where the land curves"),
@@ -458,7 +462,7 @@ class TestCandidateTable:
         def _terms(table):
             return [[d for d, _ in passes] for _, passes in table.terms]
 
-        assert _terms(unfloored) == [[None, "sea", "water", "land"],
+        assert _terms(unfloored) == [[None, "inlet", "sea", "water", "land"],
                                      [None, "land", "sea"]]
         assert _terms(floored) == [[None, "land"], [None, "land"]]
         for f_min in (1, 2, 5, 9):
